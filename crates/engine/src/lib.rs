@@ -55,6 +55,9 @@ pub mod plan;
 
 pub use calibrate::{CalibrationConfig, CalibrationReport, ProbeResult};
 pub use plan::{ClassifierKind, PlanSpec, SegmentPlan, Tiling};
+/// The execution substrate behind [`SegmentPlan::backend`], re-exported so
+/// plan consumers can name backends without a direct dependency.
+pub use xpar;
 
 use imaging::view::{LabelViewMut, TileRect};
 use imaging::{GrayImage, LabelMap, PixelClassifier, RgbImage};

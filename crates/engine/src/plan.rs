@@ -33,9 +33,7 @@ pub enum ClassifierKind {
     Exact,
     /// Lazy per-colour memoisation (`LutRgbSegmenter`).
     Lut,
-    /// Eager precomputed phase table, three lookups per pixel (`PhaseTable`,
-    /// the steady-state fast path and the default).
-    #[default]
+    /// Eager precomputed phase table, three lookups per pixel (`PhaseTable`).
     Table,
     /// Fixed-point log-space quantization of the phase table, scalar integer
     /// inner loop (`QuantizedPhaseTable` pinned to its scalar kernel) —
@@ -43,7 +41,8 @@ pub enum ClassifierKind {
     Quant,
     /// The quantized table with runtime-dispatched `std::arch` SIMD kernels
     /// (AVX2 → SSE4.1 → SSE2, scalar elsewhere; `IQFT_SIMD` env overrides) —
-    /// same bit-identical labels, the raw-speed hot path.
+    /// same bit-identical labels, the raw-speed hot path and the default.
+    #[default]
     Simd,
 }
 
@@ -471,7 +470,7 @@ mod tests {
             assert_eq!(format!("{kind}"), kind.flag());
         }
         assert!(ClassifierKind::from_flag("gpu").is_err());
-        assert_eq!(ClassifierKind::default(), ClassifierKind::Table);
+        assert_eq!(ClassifierKind::default(), ClassifierKind::Simd);
     }
 
     #[test]

@@ -36,7 +36,11 @@
 //!           [--serve-mode threads|evented] [--cache-mb M] [--addr-file PATH]
 //!           [--cache-persist PATH]
 //!                              boot the iqft-serve TCP daemon and block
-//!                              until a client sends Shutdown; --addr-file
+//!                              until a client sends Shutdown; the default
+//!                              plan is classifier=simd;tile=off;
+//!                              backend=serial, and --workers 0 (the
+//!                              default) runs one request per core whatever
+//!                              the backend; --addr-file
 //!                              records the bound (possibly ephemeral) port;
 //!                              --plan auto calibrates the plan at boot (the
 //!                              evidence is surfaced through Stats);
@@ -75,7 +79,7 @@
 //!
 //! Global options:
 //!   --backend serial|threads|rayon   execution backend for every experiment
-//!                                    (default: threads)
+//!                                    (default: threads; serve: serial)
 //!   --threads N                      worker threads for the threads backend
 //!                                    (default: 0 = one per core)
 //! ```
@@ -98,11 +102,13 @@ struct Args {
     xview: usize,
     size: usize,
     seed: u64,
-    backend: String,
+    /// `--backend`; `None` keeps the subcommand's own default.
+    backend: Option<String>,
     threads: usize,
     images: usize,
     batch: usize,
-    classifier: String,
+    /// `--classifier`; `None` keeps the subcommand's own default.
+    classifier: Option<String>,
     tile: String,
     plan: String,
     max_queue: usize,
@@ -134,11 +140,11 @@ fn parse_args() -> Args {
         xview: 148,
         size: 160,
         seed: 42,
-        backend: "threads".to_string(),
+        backend: None,
         threads: 0,
         images: 64,
         batch: 16,
-        classifier: "table".to_string(),
+        classifier: None,
         tile: "off".to_string(),
         plan: String::new(),
         max_queue: 0,
@@ -173,11 +179,11 @@ fn parse_args() -> Args {
             "--xview" => args.xview = value().parse().unwrap_or(args.xview),
             "--size" => args.size = value().parse().unwrap_or(args.size),
             "--seed" => args.seed = value().parse().unwrap_or(args.seed),
-            "--backend" => args.backend = value(),
+            "--backend" => args.backend = Some(value()),
             "--threads" => args.threads = value().parse().unwrap_or(args.threads),
             "--images" => args.images = value().parse().unwrap_or(args.images),
             "--batch" => args.batch = value().parse().unwrap_or(args.batch),
-            "--classifier" => args.classifier = value(),
+            "--classifier" => args.classifier = Some(value()),
             "--tile" => args.tile = value(),
             "--plan" => args.plan = value(),
             "--max-queue" => args.max_queue = value().parse().unwrap_or(args.max_queue),
@@ -226,7 +232,11 @@ fn run_table3(args: &Args, engine: &SegmentEngine) -> String {
 
 fn main() {
     let args = parse_args();
-    let engine = match SegmentEngine::from_flags(&args.backend, args.threads) {
+    // Offline subcommands default to the phase table on one thread per
+    // core; `serve` keeps its own defaults (see `ServeCliConfig`).
+    let backend = args.backend.as_deref().unwrap_or("threads");
+    let classifier = args.classifier.as_deref().unwrap_or("table").to_string();
+    let engine = match SegmentEngine::from_flags(backend, args.threads) {
         Ok(engine) => engine,
         Err(message) => {
             eprintln!("{message}");
@@ -247,12 +257,13 @@ fn main() {
         "fig9" => figures::fig8_9_report(&engine, true, out, 30),
         "fig10" => figures::fig10_report(&engine, 30),
         "serve" => {
+            let defaults = ServeCliConfig::default();
             let config = ServeCliConfig {
                 addr: args.addr.clone(),
                 plan: args.plan.clone(),
-                classifier: args.classifier.clone(),
+                classifier: args.classifier.clone().unwrap_or(defaults.classifier),
                 tile: args.tile.clone(),
-                backend: args.backend.clone(),
+                backend: args.backend.clone().unwrap_or(defaults.backend),
                 threads: args.threads,
                 workers: args.workers,
                 max_queue: args.max_queue,
@@ -310,7 +321,7 @@ fn main() {
                 batch: args.batch,
                 image_size: args.size,
                 seed: args.seed,
-                classifier: args.classifier.clone(),
+                classifier: classifier.clone(),
                 tile: args.tile.clone(),
                 plan: args.plan.clone(),
                 cache_mb: args.cache_mb,
@@ -384,7 +395,7 @@ fn main() {
                     batch: args.batch.min(8),
                     image_size: args.size.min(96),
                     seed: args.seed,
-                    classifier: args.classifier.clone(),
+                    classifier: classifier.clone(),
                     tile: args.tile.clone(),
                     cache_mb: 0,
                     verify: args.verify,
@@ -407,7 +418,7 @@ fn main() {
                         batch: args.batch.min(8),
                         image_size: args.size.min(96),
                         seed: args.seed,
-                        classifier: args.classifier.clone(),
+                        classifier: classifier.clone(),
                         tile: "48x48".to_string(),
                         cache_mb: 0,
                         verify: args.verify,
@@ -419,7 +430,7 @@ fn main() {
             // verification doubles as the exactness-oracle check), even when
             // the user did not pass --classifier.
             let quantized = matches!(
-                seg_engine::ClassifierKind::from_flag(&args.classifier),
+                seg_engine::ClassifierKind::from_flag(&classifier),
                 Ok(kind) if kind.is_quantized()
             );
             if !quantized {
@@ -450,7 +461,7 @@ fn main() {
                     batch: args.batch.min(8),
                     image_size: args.size.min(96),
                     seed: args.seed,
-                    classifier: args.classifier.clone(),
+                    classifier: classifier.clone(),
                     tile: args.tile.clone(),
                     cache_mb: if args.cache_mb > 0 { args.cache_mb } else { 32 },
                     verify: args.verify,
@@ -467,7 +478,7 @@ fn main() {
                     batch: args.batch.min(4),
                     image_size: args.size.min(128),
                     seed: args.seed,
-                    classifier: args.classifier.clone(),
+                    classifier: classifier.clone(),
                     tile: "32x32".to_string(),
                     plan: String::new(),
                     cache_mb: if args.cache_mb > 0 { args.cache_mb } else { 32 },

@@ -42,7 +42,7 @@ pub struct ServeCliConfig {
     /// Thread count for the threads backend (`--threads`).
     pub threads: usize,
     /// Cap on concurrently-executing segment requests (`--workers`,
-    /// 0 = the plan's effective thread count).
+    /// 0 = one per core, whatever the plan's backend).
     pub workers: usize,
     /// Admission-control queue bound (`--max-queue`, 0 = unbounded): once
     /// every worker is busy and this many segment requests are already
@@ -66,13 +66,16 @@ pub struct ServeCliConfig {
 }
 
 impl Default for ServeCliConfig {
+    /// The flags resolve to the same plan as [`ServerConfig::default`]:
+    /// the SIMD classifier, untiled, on the serial backend, with one worker
+    /// per core carrying the parallelism across requests.
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7870".to_string(),
             plan: String::new(),
-            classifier: "table".to_string(),
+            classifier: ClassifierKind::Simd.flag().to_string(),
             tile: "off".to_string(),
-            backend: "threads".to_string(),
+            backend: "serial".to_string(),
             threads: 0,
             workers: 0,
             max_queue: 0,
@@ -84,20 +87,28 @@ impl Default for ServeCliConfig {
     }
 }
 
+impl ServeCliConfig {
+    /// Resolves the plan flags: `--plan` when given, else the per-axis
+    /// flags.
+    pub fn resolve_plan(&self) -> Result<ResolvedPlan, String> {
+        resolve_plan(&self.plan, || {
+            let engine = SegmentEngine::from_flags(&self.backend, self.threads)?;
+            Ok(SegmentPlan::new(
+                ClassifierKind::from_flag(&self.classifier)?,
+                Tiling::from_flag(&self.tile)?,
+                engine.backend(),
+            ))
+        })
+    }
+}
+
 /// Boots the daemon described by `config` and blocks until it has drained
 /// and stopped (a client sent Shutdown).  Returns a one-line exit summary.
 ///
 /// The boot line is printed to stdout *before* blocking so a supervising
 /// script (the CI smoke job) can tell the server is up.
 pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
-    let resolved = resolve_plan(&config.plan, || {
-        let engine = SegmentEngine::from_flags(&config.backend, config.threads)?;
-        Ok(SegmentPlan::new(
-            ClassifierKind::from_flag(&config.classifier)?,
-            Tiling::from_flag(&config.tile)?,
-            engine.backend(),
-        ))
-    })?;
+    let resolved = config.resolve_plan()?;
     let plan = resolved.plan;
     if let Some(report) = &resolved.calibration {
         println!("iqft-serve calibrated [{plan}]: {}", report.summary());
@@ -1284,6 +1295,14 @@ mod tests {
         config.connect_deadline_ms = 100;
         let err = loadgen_report(&config).unwrap_err();
         assert!(err.contains("could not connect"), "{err}");
+    }
+
+    #[test]
+    fn serve_cli_defaults_resolve_to_the_server_default_plan() {
+        let resolved = ServeCliConfig::default().resolve_plan().unwrap();
+        assert_eq!(resolved.plan, ServerConfig::default().plan);
+        assert!(resolved.calibration.is_none());
+        assert_eq!(ServeCliConfig::default().workers, 0, "one worker per core");
     }
 
     #[test]

@@ -74,6 +74,7 @@ use crate::theta::ThetaParams;
 use imaging::{LabelMap, PixelClassifier, Rgb, RgbImage, Segmenter};
 use seg_engine::SegmentEngine;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Number of distinct values an 8-bit channel can take.
 const CHANNEL_VALUES: usize = 256;
@@ -265,8 +266,8 @@ fn decide(sums: &[i16; NUM_STATES]) -> Option<u32> {
 pub struct QuantizedPhaseTable {
     /// `qlog[q * 256 + v]` — the eight quantized log-factors contributed by
     /// register qubit `q` when its channel has value `v`.  One row is one
-    /// 128-bit SIMD register.
-    qlog: Vec<[i16; NUM_STATES]>,
+    /// 128-bit SIMD register.  Built on first use (see [`Self::rows`]).
+    qlog: OnceLock<Vec<[i16; NUM_STATES]>>,
     /// Register position → RGB channel index, copied from the source table.
     channel_of_qubit: [usize; 3],
     /// The f64 oracle consulted for ambiguous pixels (and the engine owner).
@@ -294,28 +295,44 @@ impl QuantizedPhaseTable {
     /// exactness oracle).  The dispatch level starts at
     /// [`SimdLevel::detect`].
     pub fn from_table(table: &PhaseTable) -> Self {
-        let mut qlog = vec![[0i16; NUM_STATES]; 3 * CHANNEL_VALUES];
-        for q in 0..3 {
-            for v in 0..CHANNEL_VALUES {
-                let factors = table.factor(q, v as u8);
-                let row = &mut qlog[q * CHANNEL_VALUES + v];
-                for (slot, &factor) in row.iter_mut().zip(factors.iter()) {
-                    *slot = quantize(factor);
-                }
-            }
-        }
+        Self::with_oracle(table.clone())
+    }
+
+    /// Builds the quantized table for `segmenter`'s exact configuration.
+    pub fn from_segmenter(segmenter: &IqftRgbSegmenter) -> Self {
+        Self::with_oracle(PhaseTable::from_segmenter(segmenter))
+    }
+
+    /// Wraps `exact` as the oracle (moved, not copied: a serving daemon
+    /// builds this table on its start-up path).
+    fn with_oracle(exact: PhaseTable) -> Self {
         Self {
-            qlog,
-            channel_of_qubit: table.channel_of_qubit(),
-            exact: table.clone(),
+            qlog: OnceLock::new(),
+            channel_of_qubit: exact.channel_of_qubit(),
+            exact,
             level: SimdLevel::detect(),
             fallbacks: AtomicU64::new(0),
         }
     }
 
-    /// Builds the quantized table for `segmenter`'s exact configuration.
-    pub fn from_segmenter(segmenter: &IqftRgbSegmenter) -> Self {
-        Self::from_table(&PhaseTable::from_segmenter(segmenter))
+    /// The quantized rows, built from the oracle on first use.  They cost
+    /// a few thousand `ln` calls (~0.1 ms); deferring them keeps a serving
+    /// daemon's start-up as cheap as with the f64 phase table alone, and
+    /// the first classification pays for them once.
+    fn rows(&self) -> &[[i16; NUM_STATES]] {
+        self.qlog.get_or_init(|| {
+            let mut qlog = vec![[0i16; NUM_STATES]; 3 * CHANNEL_VALUES];
+            for q in 0..3 {
+                for v in 0..CHANNEL_VALUES {
+                    let factors = self.exact.factor(q, v as u8);
+                    let row = &mut qlog[q * CHANNEL_VALUES + v];
+                    for (slot, &factor) in row.iter_mut().zip(factors.iter()) {
+                        *slot = quantize(factor);
+                    }
+                }
+            }
+            qlog
+        })
     }
 
     /// Builds the table for the given angles with the default configuration
@@ -370,7 +387,7 @@ impl QuantizedPhaseTable {
 
     /// Number of quantized rows (3 registers × 256 values).
     pub fn entries(&self) -> usize {
-        self.qlog.len()
+        self.rows().len()
     }
 
     /// Total pixels classified through the f64 oracle because their
@@ -394,7 +411,7 @@ impl QuantizedPhaseTable {
     /// lets the compiler drop every per-pixel bounds check.
     fn channel_blocks(&self) -> [&Block; 3] {
         let block = |q: usize| -> &Block {
-            self.qlog[q * CHANNEL_VALUES..(q + 1) * CHANNEL_VALUES]
+            self.rows()[q * CHANNEL_VALUES..(q + 1) * CHANNEL_VALUES]
                 .try_into()
                 .expect("qlog holds three 256-row blocks")
         };
@@ -741,7 +758,7 @@ mod tests {
                 let factors = exact.factor(q, v);
                 for (j, &factor) in factors.iter().enumerate() {
                     let expected = quantize(factor);
-                    let row = &quant.qlog[q * CHANNEL_VALUES + v as usize];
+                    let row = &quant.rows()[q * CHANNEL_VALUES + v as usize];
                     assert_eq!(row[j], expected, "q={q} v={v} j={j}");
                     assert!(row[j] >= term_min && row[j] <= 0, "q={q} v={v} j={j}");
                 }

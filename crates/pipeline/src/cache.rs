@@ -17,9 +17,13 @@
 //!   configured byte budget and evicts its least-recently-used entries when
 //!   an insert would overflow it.  An entry larger than a whole shard's
 //!   budget is never stored (it would evict everything for one request).
-//! * **Arena integration** — cached label buffers are checked out of the
-//!   pipeline's existing [`LabelArena`] and evicted buffers go back to it,
-//!   so a warm cache keeps the steady state allocation-free end to end.
+//! * **Exact-size entries** — an entry owns an exact-size copy of its
+//!   labels, so the bytes it pins are the bytes it is charged for.  An
+//!   evicted entry's buffer is reused only by the insert that evicted it,
+//!   and only when the sizes match; otherwise evicted and replaced entries
+//!   are freed.  Only hit copy-outs draw on the pipeline's [`LabelArena`]
+//!   (they are request buffers); cache storage never passes through it, so
+//!   the arena's pool cannot fill up with recycled cache buffers.
 //! * **Correctness over capacity** — a hit is produced by copying the cached
 //!   labels into a fresh arena buffer; the cache never hands out a buffer it
 //!   still owns, so eviction can never corrupt a reply already in flight.
@@ -411,8 +415,11 @@ impl Shard {
     }
 
     /// Evicts least-recently-used entries until `needed` more bytes fit
-    /// under `budget`, returning the freed buffers to `arena`.
-    fn evict_for(&mut self, needed: usize, budget: usize, arena: &LabelArena) {
+    /// under `budget`.  The first evicted buffer that holds exactly
+    /// `reuse_len` labels is handed back, so an insert of that size can copy
+    /// into it instead of allocating; every other evicted buffer is freed.
+    fn evict_for(&mut self, needed: usize, budget: usize, reuse_len: usize) -> Option<Vec<u32>> {
+        let mut reusable = None;
         while self.bytes + needed > budget {
             let Some((&stamp, &key)) = self.recency.iter().next() else {
                 break;
@@ -424,8 +431,11 @@ impl Shard {
                 .expect("recency index entries always exist in the map");
             self.bytes -= entry.charged_bytes();
             self.evictions += 1;
-            arena.put(entry.labels);
+            if reusable.is_none() && entry.labels.len() == reuse_len {
+                reusable = Some(entry.labels);
+            }
         }
+        reusable
     }
 
     fn stats(&self) -> CacheStats {
@@ -559,47 +569,10 @@ impl SegmentCache {
     }
 
     /// Stores one re-classified tile's labels (row-major, `width × height`)
-    /// under `key`.  Same byte-budget and arena rules as
-    /// [`SegmentCache::insert`].
-    pub fn insert_tile(
-        &self,
-        key: CacheKey,
-        labels: &[u32],
-        width: usize,
-        height: usize,
-        arena: &LabelArena,
-    ) {
+    /// under `key`.  Same byte-budget rules as [`SegmentCache::insert`].
+    pub fn insert_tile(&self, key: CacheKey, labels: &[u32], width: usize, height: usize) {
         debug_assert_eq!(labels.len(), width * height);
-        let charged = labels.len() * 4 + ENTRY_OVERHEAD_BYTES;
-        if charged > self.shard_budget {
-            return;
-        }
-        let mut buf = arena.take();
-        buf.clear();
-        buf.extend_from_slice(labels);
-        let mut shard = self.shards[key.shard(self.shards.len())]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = shard.entries.remove(&key) {
-            shard.recency.remove(&existing.stamp);
-            shard.bytes -= existing.charged_bytes();
-            arena.put(existing.labels);
-        }
-        shard.evict_for(charged, self.shard_budget, arena);
-        let stamp = shard.next_stamp;
-        shard.next_stamp += 1;
-        shard.recency.insert(stamp, key);
-        shard.bytes += charged;
-        shard.insertions += 1;
-        shard.entries.insert(
-            key,
-            Entry {
-                labels: buf,
-                width,
-                height,
-                stamp,
-            },
-        );
+        self.install(key, labels, width, height);
     }
 
     /// Number of shards.
@@ -634,38 +607,58 @@ impl SegmentCache {
         Some(LabelMap::from_vec(width, height, buf).expect("cached labels match their dimensions"))
     }
 
-    /// Stores a finished segmentation under `key`.  The labels are copied
-    /// into a buffer taken from `arena`; entries evicted to make room (and
-    /// any replaced duplicate) return their buffers to `arena`.  An entry
-    /// larger than one shard's whole budget is not stored.
-    pub fn insert(&self, key: CacheKey, labels: &LabelMap, arena: &LabelArena) {
-        let charged = labels.len() * 4 + ENTRY_OVERHEAD_BYTES;
-        if charged > self.shard_budget {
+    /// Stores a finished segmentation under `key` as an exact-size copy.
+    /// Entries evicted to make room, and any replaced duplicate, are freed
+    /// (or, for one evicted entry of the same size, refilled as the new
+    /// entry).  An entry larger than one shard's whole budget is not stored.
+    pub fn insert(&self, key: CacheKey, labels: &LabelMap) {
+        let (width, height) = labels.dimensions();
+        self.install(key, labels.as_slice(), width, height);
+    }
+
+    /// Whether an entry of `labels` labels fits within one shard's budget.
+    fn fits(&self, labels: usize) -> bool {
+        labels * 4 + ENTRY_OVERHEAD_BYTES <= self.shard_budget
+    }
+
+    /// Stores an exact-size copy of `labels` under `key`, evicting
+    /// least-recently-used entries to make room.  Room is made first: when
+    /// that evicts an entry of the same size, its buffer takes the copy, so
+    /// a steady stream of same-shape inserts neither allocates nor
+    /// fragments the heap.  The copy runs between the two lock holds, so
+    /// concurrent misses on one shard serialise only on the bookkeeping.
+    fn install(&self, key: CacheKey, labels: &[u32], width: usize, height: usize) {
+        if !self.fits(labels.len()) {
             return;
         }
-        // Copy the labels *before* taking the shard lock: the memcpy of a
-        // multi-megapixel map is the expensive part and touches no shard
-        // state, so concurrent misses on the same shard only serialise on
-        // the cheap map/recency bookkeeping below.
-        let mut buf = arena.take();
-        buf.clear();
-        buf.extend_from_slice(labels.as_slice());
-        let mut shard = self.shards[key.shard(self.shards.len())]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let charged = labels.len() * 4 + ENTRY_OVERHEAD_BYTES;
+        let shard = &self.shards[key.shard(self.shards.len())];
+        let recycled = shard.lock().unwrap_or_else(|e| e.into_inner()).evict_for(
+            charged,
+            self.shard_budget,
+            labels.len(),
+        );
+        let buf = match recycled {
+            Some(mut buf) => {
+                buf.copy_from_slice(labels);
+                buf
+            }
+            None => labels.to_vec(),
+        };
+        let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(existing) = shard.entries.remove(&key) {
             // Two threads raced to segment the same image; keep one copy.
             shard.recency.remove(&existing.stamp);
             shard.bytes -= existing.charged_bytes();
-            arena.put(existing.labels);
         }
-        shard.evict_for(charged, self.shard_budget, arena);
+        // Concurrent inserts may have refilled the room made above; any
+        // buffer this second pass evicts is freed.
+        drop(shard.evict_for(charged, self.shard_budget, labels.len()));
         let stamp = shard.next_stamp;
         shard.next_stamp += 1;
         shard.recency.insert(stamp, key);
         shard.bytes += charged;
         shard.insertions += 1;
-        let (width, height) = labels.dimensions();
         shard.entries.insert(
             key,
             Entry {
@@ -776,11 +769,7 @@ impl SegmentCache {
     /// normal insert path, so the byte budget and LRU rules apply: loading
     /// a big snapshot into a small cache keeps the budget's worth and drops
     /// the rest.
-    pub fn load_from(
-        &self,
-        path: &Path,
-        arena: &LabelArena,
-    ) -> Result<SnapshotStats, SnapshotError> {
+    pub fn load_from(&self, path: &Path) -> Result<SnapshotStats, SnapshotError> {
         let bytes = std::fs::read(path)?;
         let corrupt = |why: String| SnapshotError::Corrupt(why);
         if bytes.len() < SNAPSHOT_HEADER_LEN + 8 {
@@ -882,16 +871,13 @@ impl SegmentCache {
                 .chunks_exact(4)
                 .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                 .collect();
-            let map = LabelMap::from_vec(width, height, labels)
-                .map_err(|_| corrupt(format!("bad dimensions {width}x{height}")))?;
             // Entries the budget would refuse (larger than one shard's whole
-            // slice) are skipped by `insert` and not counted as loaded.
-            if width * height * 4 + ENTRY_OVERHEAD_BYTES <= self.shard_budget {
+            // slice) are skipped by `install` and not counted as loaded.
+            if self.fits(labels.len()) {
                 stats.entries += 1;
-                stats.label_bytes += width * height * 4;
+                stats.label_bytes += labels.len() * 4;
             }
-            self.insert(key, &map, arena);
-            arena.recycle(map);
+            self.install(key, &labels, width, height);
         }
         Ok(stats)
     }
@@ -934,7 +920,7 @@ mod tests {
         let labels = labels_for(&img, 3);
         let key = cache.key_for(&img);
         assert!(cache.lookup(key, &arena).is_none(), "cold cache misses");
-        cache.insert(key, &labels, &arena);
+        cache.insert(key, &labels);
         let hit = cache.lookup(key, &arena).expect("warm cache hits");
         assert_eq!(hit, labels);
         let stats = cache.stats();
@@ -975,12 +961,23 @@ mod tests {
         let cache = small_cache(entry_bytes * 2, 1);
         let imgs: Vec<RgbImage> = (0..3).map(|i| image(i as u8, 8, 8)).collect();
         let keys: Vec<CacheKey> = imgs.iter().map(|img| cache.key_for(img)).collect();
-        cache.insert(keys[0], &labels_for(&imgs[0], 0), &arena);
-        cache.insert(keys[1], &labels_for(&imgs[1], 1), &arena);
+        cache.insert(keys[0], &labels_for(&imgs[0], 0));
+        cache.insert(keys[1], &labels_for(&imgs[1], 1));
         assert_eq!(cache.stats().entries, 2);
         // Touch entry 0 so entry 1 is the LRU, then overflow the budget.
         assert!(cache.lookup(keys[0], &arena).is_some());
-        cache.insert(keys[2], &labels_for(&imgs[2], 2), &arena);
+        let labels_ptr = |key: CacheKey| {
+            cache.shards[0].lock().unwrap().entries[&key]
+                .labels
+                .as_ptr()
+        };
+        let evicted = labels_ptr(keys[1]);
+        cache.insert(keys[2], &labels_for(&imgs[2], 2));
+        assert_eq!(
+            labels_ptr(keys[2]),
+            evicted,
+            "a same-size insert copies into the evicted entry's buffer"
+        );
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
@@ -994,8 +991,8 @@ mod tests {
             cache.lookup(keys[2], &arena).is_some(),
             "new entry resident"
         );
-        // Evicted and copied-out buffers flow through the arena.
-        assert!(arena.pooled() + stats.entries > 0);
+        // Evicted entries are freed, never pooled.
+        assert_eq!(arena.pooled(), 0);
     }
 
     #[test]
@@ -1004,7 +1001,7 @@ mod tests {
         let cache = small_cache(256, 1);
         let img = image(0, 32, 32); // 4 KiB of labels ≫ 256-byte budget
         let key = cache.key_for(&img);
-        cache.insert(key, &labels_for(&img, 1), &arena);
+        cache.insert(key, &labels_for(&img, 1));
         assert_eq!(cache.stats().entries, 0);
         assert!(cache.lookup(key, &arena).is_none());
     }
@@ -1012,10 +1009,9 @@ mod tests {
     #[test]
     fn keys_spread_across_shards() {
         let cache = small_cache(8 << 20, 8);
-        let arena = LabelArena::new();
         for i in 0..64u8 {
             let img = image(i, 8, 8);
-            cache.insert(cache.key_for(&img), &labels_for(&img, i as u32), &arena);
+            cache.insert(cache.key_for(&img), &labels_for(&img, i as u32));
         }
         let per_shard = cache.shard_stats();
         assert_eq!(per_shard.len(), 8);
@@ -1031,22 +1027,80 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_insert_keeps_one_copy_and_recycles_the_other() {
+    fn duplicate_insert_keeps_one_copy_and_frees_the_other() {
         let arena = LabelArena::new();
         let cache = small_cache(1 << 20, 1);
         let img = image(3, 8, 8);
         let key = cache.key_for(&img);
-        cache.insert(key, &labels_for(&img, 1), &arena);
+        cache.insert(key, &labels_for(&img, 1));
         let bytes_before = cache.stats().bytes;
-        cache.insert(key, &labels_for(&img, 1), &arena);
+        cache.insert(key, &labels_for(&img, 1));
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.bytes, bytes_before);
         assert_eq!(stats.insertions, 2);
-        // The replaced duplicate's buffer went back to the arena pool (the
-        // new copy's buffer is taken before the lock, so it cannot reuse
-        // the one it replaces).
-        assert!(arena.pooled() >= 1);
+        // The replaced duplicate is freed; the arena is never involved.
+        assert_eq!(arena.pooled(), 0);
+        assert_eq!(arena.allocations() + arena.reuses(), 0);
+    }
+
+    /// Summed heap capacity of every resident entry.
+    fn resident_capacity(cache: &SegmentCache) -> usize {
+        cache
+            .shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock().unwrap();
+                shard
+                    .entries
+                    .values()
+                    .map(|e| e.labels.capacity() * 4 + ENTRY_OVERHEAD_BYTES)
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn entries_pin_exactly_the_label_bytes_they_are_charged_for() {
+        // A frame-sized buffer sits in the arena, as it does in a serving
+        // pipeline between requests.  A tile insert must not adopt it.
+        let arena = LabelArena::with_warm_buffers(1, 256 * 192);
+        let budget = 64 << 10;
+        let cache = small_cache(budget, 2);
+        let img = image(1, 40, 30);
+        let tile = img.view(imaging::TileRect::new(0, 0, 16, 16)).unwrap();
+        let key = cache.key_for_tile(&tile, 16, 16);
+        cache.insert_tile(key, &[3; 16 * 16], 16, 16);
+        {
+            let shard = cache.shards[key.shard(2)].lock().unwrap();
+            let entry = &shard.entries[&key];
+            assert_eq!(entry.labels.capacity(), entry.labels.len());
+        }
+        assert_eq!(arena.pooled(), 1, "the frame buffer stays in the arena");
+
+        // A mixed stream of whole-image and tile inserts, with hit copy-outs
+        // recycled through the arena, never pins more than the budget.
+        for i in 0..200u32 {
+            let (w, h) = [(8, 8), (20, 10), (16, 16), (33, 7)][i as usize % 4];
+            let img = image(i as u8, w, h);
+            if i % 3 == 0 {
+                let view = img.view(imaging::TileRect::new(0, 0, w, h)).unwrap();
+                let labels = vec![i; w * h];
+                cache.insert_tile(cache.key_for_tile(&view, w, h), &labels, w, h);
+            } else {
+                let key = cache.key_for(&img);
+                cache.insert(key, &labels_for(&img, i));
+                if let Some(hit) = cache.lookup(key, &arena) {
+                    arena.recycle(hit);
+                }
+            }
+            assert!(cache.stats().bytes <= budget);
+            assert!(resident_capacity(&cache) <= budget, "after insert {i}");
+        }
+        assert!(
+            cache.stats().evictions > 0,
+            "the stream overflowed the budget"
+        );
     }
 
     #[test]
@@ -1081,7 +1135,7 @@ mod tests {
                                     vec![expected; img.len()],
                                 )
                                 .unwrap();
-                                cache.insert(key, &labels, arena);
+                                cache.insert(key, &labels);
                             }
                         }
                     }
@@ -1158,7 +1212,6 @@ mod tests {
     #[test]
     fn tile_lookup_stitches_into_a_window_and_counts_separately() {
         use imaging::TileRect;
-        let arena = LabelArena::new();
         let cache = small_cache(1 << 20, 2);
         let img = image(7, 20, 10);
         let rect = TileRect::new(8, 4, 6, 5);
@@ -1169,7 +1222,7 @@ mod tests {
         let mut stitch = vec![u32::MAX; img.len()];
         let mut dest = LabelViewMut::new(&mut stitch, img.width(), rect).unwrap();
         assert!(!cache.lookup_tile_into(key, &mut dest), "cold tile misses");
-        cache.insert_tile(key, &tile_labels, 6, 5, &arena);
+        cache.insert_tile(key, &tile_labels, 6, 5);
         let mut dest = LabelViewMut::new(&mut stitch, img.width(), rect).unwrap();
         assert!(cache.lookup_tile_into(key, &mut dest), "warm tile hits");
         // The copy landed exactly inside the window.
@@ -1235,7 +1288,7 @@ mod tests {
         let cache = small_cache(1 << 20, 4);
         let imgs: Vec<RgbImage> = (0..10).map(|i| image(i as u8, 12, 9)).collect();
         for (i, img) in imgs.iter().enumerate() {
-            cache.insert(cache.key_for(img), &labels_for(img, i as u32), &arena);
+            cache.insert(cache.key_for(img), &labels_for(img, i as u32));
         }
         let path = scratch("round-trip");
         let saved = cache.save_to(&path).unwrap();
@@ -1243,7 +1296,7 @@ mod tests {
         assert_eq!(saved.label_bytes, 10 * 12 * 9 * 4);
 
         let warm = small_cache(1 << 20, 2); // different shard count is fine
-        let loaded = warm.load_from(&path, &arena).unwrap();
+        let loaded = warm.load_from(&path).unwrap();
         assert_eq!(loaded, saved);
         for (i, img) in imgs.iter().enumerate() {
             let hit = warm
@@ -1256,10 +1309,9 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupted_snapshots_are_a_clean_cold_start() {
-        let arena = LabelArena::new();
         let cache = small_cache(1 << 20, 4);
         let img = image(5, 16, 16);
-        cache.insert(cache.key_for(&img), &labels_for(&img, 9), &arena);
+        cache.insert(cache.key_for(&img), &labels_for(&img, 9));
         let path = scratch("corrupt");
         cache.save_to(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
@@ -1275,10 +1327,7 @@ mod tests {
         ] {
             std::fs::write(&path, &good[..cut]).unwrap();
             let warm = small_cache(1 << 20, 4);
-            assert!(
-                warm.load_from(&path, &arena).is_err(),
-                "cut at {cut} must fail"
-            );
+            assert!(warm.load_from(&path).is_err(), "cut at {cut} must fail");
             assert_eq!(warm.stats().entries, 0, "cut at {cut} must load nothing");
         }
 
@@ -1289,7 +1338,7 @@ mod tests {
         flipped[mid] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
         let warm = small_cache(1 << 20, 4);
-        match warm.load_from(&path, &arena) {
+        match warm.load_from(&path) {
             Err(SnapshotError::Corrupt(why)) => assert!(why.contains("checksum"), "{why}"),
             other => panic!("expected checksum corruption, got {other:?}"),
         }
@@ -1300,19 +1349,19 @@ mod tests {
         bad_magic[0] = b'X';
         std::fs::write(&path, &bad_magic).unwrap();
         assert!(matches!(
-            warm.load_from(&path, &arena),
+            warm.load_from(&path),
             Err(SnapshotError::Corrupt(_))
         ));
         let mut bad_version = good.clone();
         bad_version[4..6].copy_from_slice(&9u16.to_le_bytes());
         std::fs::write(&path, &bad_version).unwrap();
         assert!(matches!(
-            warm.load_from(&path, &arena),
+            warm.load_from(&path),
             Err(SnapshotError::BadVersion(9))
         ));
         // A missing file is an i/o error, not a panic.
         assert!(matches!(
-            warm.load_from(Path::new("/nonexistent/iqft.snap"), &arena),
+            warm.load_from(Path::new("/nonexistent/iqft.snap")),
             Err(SnapshotError::Io(_))
         ));
         std::fs::remove_file(&path).ok();
@@ -1320,10 +1369,9 @@ mod tests {
 
     #[test]
     fn salt_mismatched_snapshot_refuses_to_load() {
-        let arena = LabelArena::new();
         let cache = small_cache(1 << 20, 4);
         let img = image(2, 8, 8);
-        cache.insert(cache.key_for(&img), &labels_for(&img, 4), &arena);
+        cache.insert(cache.key_for(&img), &labels_for(&img, 4));
         let path = scratch("salt");
         cache.save_to(&path).unwrap();
 
@@ -1338,23 +1386,22 @@ mod tests {
             "classifier=simd;tile=32x32;backend=threads:4",
         );
         assert!(matches!(
-            other.load_from(&path, &arena),
+            other.load_from(&path),
             Err(SnapshotError::SaltMismatch { .. })
         ));
         assert_eq!(other.stats().entries, 0);
         // The matching salt still loads.
         let same = small_cache(1 << 20, 4);
-        assert_eq!(same.load_from(&path, &arena).unwrap().entries, 1);
+        assert_eq!(same.load_from(&path).unwrap().entries, 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn loading_into_a_smaller_cache_respects_the_byte_budget() {
-        let arena = LabelArena::new();
         let big = small_cache(1 << 20, 1);
         let imgs: Vec<RgbImage> = (0..8).map(|i| image(i as u8, 8, 8)).collect();
         for (i, img) in imgs.iter().enumerate() {
-            big.insert(big.key_for(img), &labels_for(img, i as u32), &arena);
+            big.insert(big.key_for(img), &labels_for(img, i as u32));
         }
         let path = scratch("budget");
         assert_eq!(big.save_to(&path).unwrap().entries, 8);
@@ -1362,7 +1409,7 @@ mod tests {
         // Room for exactly two entries: the load keeps the budget's worth.
         let entry_bytes = 8 * 8 * 4 + ENTRY_OVERHEAD_BYTES;
         let tiny = small_cache(entry_bytes * 2, 1);
-        let loaded = tiny.load_from(&path, &arena).unwrap();
+        let loaded = tiny.load_from(&path).unwrap();
         assert_eq!(loaded.entries, 8, "all records fit one-at-a-time");
         let stats = tiny.stats();
         assert_eq!(stats.entries, 2, "budget holds only two");

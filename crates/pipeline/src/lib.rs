@@ -269,7 +269,7 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
             return (labels, true);
         }
         let labels = self.segment_request(img);
-        cache.insert(key, &labels, &self.arena);
+        cache.insert(key, &labels);
         (labels, false)
     }
 
@@ -328,7 +328,7 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
                 LabelViewMut::new(buf, img.width(), rect)
                     .expect("tile rects lie inside the label buffer")
                     .copy_from_tile(tile_buf);
-                cache.insert_tile(key, tile_buf, rect.width, rect.height, &self.arena);
+                cache.insert_tile(key, tile_buf, rect.width, rect.height);
             }
         });
         if let Some(tile_buf) = scratch {

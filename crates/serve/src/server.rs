@@ -35,6 +35,7 @@ use crate::protocol::{self, Header, Message, ProtocolError, HEADER_LEN};
 use crate::stats::{ServerStats, StatsSnapshot};
 use iqft_pipeline::{CacheConfig, PipelineConfig, SegmentPipeline, SnapshotError, SnapshotStats};
 use iqft_seg::IqftClassifier;
+use seg_engine::xpar::{self, Backend};
 use seg_engine::SegmentPlan;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -125,7 +126,7 @@ pub struct ServerConfig {
     /// materialises once and serves from.
     pub plan: SegmentPlan,
     /// Maximum concurrently-executing `Segment` requests across all
-    /// connections (0 = the plan's effective thread count).
+    /// connections (0 = one per core, whatever the plan's backend).
     pub max_inflight: usize,
     /// Content-addressed result cache for `SegmentCached` requests
     /// (default: disabled).  The cache key is salted with the plan spec, so
@@ -186,8 +187,8 @@ impl ServerConfig {
         self
     }
 
-    /// Caps concurrently-executing segment requests (0 = the plan's
-    /// effective thread count).
+    /// Caps concurrently-executing segment requests (0 = one per core,
+    /// whatever the plan's backend).
     pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
         self.max_inflight = max_inflight;
         self
@@ -208,9 +209,12 @@ impl ServerConfig {
 }
 
 impl Default for ServerConfig {
+    /// Serves the default plan on the serial backend: requests already run
+    /// in parallel across the worker pool, so splitting each one across
+    /// threads as well would only add spawns and oversubscribe the cores.
     fn default() -> Self {
         ServerConfig {
-            plan: SegmentPlan::default(),
+            plan: SegmentPlan::default().with_backend(Backend::Serial),
             max_inflight: 0,
             cache: CacheConfig::default(),
             mode: ServeMode::default(),
@@ -443,7 +447,7 @@ impl Server {
             })
             .with_cache(config.cache, &plan.to_spec());
         let max_inflight = if config.max_inflight == 0 {
-            plan.engine().threads()
+            xpar::default_threads()
         } else {
             config.max_inflight
         };
@@ -464,7 +468,7 @@ impl Server {
         let mut warm_loaded = SnapshotStats::default();
         let mut warm_error = None;
         if let (Some(path), Some(cache)) = (&config.cache_persist, pipeline.cache()) {
-            match cache.load_from(path, pipeline.arena()) {
+            match cache.load_from(path) {
                 Ok(stats) => warm_loaded = stats,
                 Err(SnapshotError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(err) => warm_error = Some(err.to_string()),
@@ -1166,6 +1170,26 @@ mod tests {
             Some(Path::new("/tmp/iqft-cache.snap"))
         );
         assert_eq!(ServerConfig::new(plan).max_queue, 0, "default: unbounded");
+    }
+
+    #[test]
+    fn default_config_serves_the_serial_simd_plan() {
+        let plan = ServerConfig::default().plan;
+        assert_eq!(plan.to_spec(), "classifier=simd;tile=off;backend=serial");
+        assert_eq!(plan, SegmentPlan::default().with_backend(Backend::Serial));
+    }
+
+    #[test]
+    fn zero_max_inflight_means_one_worker_per_core_even_for_a_serial_plan() {
+        let plan: SegmentPlan = "classifier=simd;tile=off;backend=serial".parse().unwrap();
+        let server =
+            Server::bind("127.0.0.1:0", ServerConfig::new(plan).with_max_inflight(0)).unwrap();
+        let mut client = open_client(server.local_addr()).unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.max_inflight, xpar::default_threads());
+        assert_eq!(stats.plan, plan.to_spec());
+        client.shutdown().unwrap();
+        server.join();
     }
 
     #[test]

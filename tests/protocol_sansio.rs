@@ -423,6 +423,157 @@ fn round_trip_identity_for_every_op_flag_and_spec_combination() {
 }
 
 // ---------------------------------------------------------------------------
+// Codec byte identity
+// ---------------------------------------------------------------------------
+
+/// Image sizes that stress the codecs' block loops and tails: zero area,
+/// a single pixel, fewer pixels than one block, and an odd size whose
+/// pixel count is not a multiple of any block width.
+const AWKWARD_SIZES: [(usize, usize); 4] = [(0, 5), (1, 1), (7, 3), (255, 193)];
+
+fn xorshift_image(gen: &mut XorShift64, width: usize, height: usize) -> RgbImage {
+    let pixels = (0..width * height)
+        .map(|_| Rgb::new(gen.next_byte(), gen.next_byte(), gen.next_byte()))
+        .collect();
+    RgbImage::from_vec(width, height, pixels).expect("valid dimensions")
+}
+
+fn xorshift_labels(gen: &mut XorShift64, width: usize, height: usize) -> LabelMap {
+    // Full-width words, so every byte lane of the label encoding is exercised.
+    let labels = (0..width * height).map(|_| gen.next_u64() as u32).collect();
+    LabelMap::from_vec(width, height, labels).expect("valid dimensions")
+}
+
+/// All six segment ops (three requests, three replies) at one size.
+fn segment_messages(gen: &mut XorShift64, width: usize, height: usize) -> Vec<Message> {
+    vec![
+        Message::Segment {
+            image: xorshift_image(gen, width, height),
+        },
+        Message::SegmentCached {
+            image: xorshift_image(gen, width, height),
+            bypass: gen.below(2) == 0,
+        },
+        Message::SegmentDelta {
+            image: xorshift_image(gen, width, height),
+        },
+        Message::SegmentReply {
+            labels: xorshift_labels(gen, width, height),
+        },
+        Message::SegmentCachedReply {
+            labels: xorshift_labels(gen, width, height),
+            cached: gen.below(2) == 0,
+        },
+        Message::SegmentDeltaReply {
+            labels: xorshift_labels(gen, width, height),
+            tiles_hit: gen.next_u64() as u32,
+            tiles_recomputed: gen.next_u64() as u32,
+        },
+    ]
+}
+
+/// The per-element payload encoders the protocol shipped before its
+/// single-pass codecs, kept as the byte-level reference they must match.
+fn reference_frame(request_id: u64, message: &Message) -> Vec<u8> {
+    fn image_payload(payload: &mut Vec<u8>, image: &RgbImage) {
+        payload.extend_from_slice(&(image.width() as u32).to_le_bytes());
+        payload.extend_from_slice(&(image.height() as u32).to_le_bytes());
+        for px in image.as_slice() {
+            payload.extend_from_slice(&[px.r(), px.g(), px.b()]);
+        }
+    }
+    fn labels_payload(payload: &mut Vec<u8>, labels: &LabelMap) {
+        payload.extend_from_slice(&(labels.width() as u32).to_le_bytes());
+        payload.extend_from_slice(&(labels.height() as u32).to_le_bytes());
+        for label in labels.as_slice() {
+            payload.extend_from_slice(&label.to_le_bytes());
+        }
+    }
+    let mut payload = Vec::new();
+    match message {
+        Message::Segment { image } => image_payload(&mut payload, image),
+        Message::SegmentCached { image, bypass } => {
+            payload.extend_from_slice(&u32::from(*bypass).to_le_bytes());
+            image_payload(&mut payload, image);
+        }
+        Message::SegmentDelta { image } => {
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            image_payload(&mut payload, image);
+        }
+        Message::SegmentReply { labels } => labels_payload(&mut payload, labels),
+        Message::SegmentCachedReply { labels, cached } => {
+            payload.extend_from_slice(&u32::from(*cached).to_le_bytes());
+            labels_payload(&mut payload, labels);
+        }
+        Message::SegmentDeltaReply {
+            labels,
+            tiles_hit,
+            tiles_recomputed,
+        } => {
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            payload.extend_from_slice(&tiles_hit.to_le_bytes());
+            payload.extend_from_slice(&tiles_recomputed.to_le_bytes());
+            labels_payload(&mut payload, labels);
+        }
+        other => panic!("not a segment op: {}", other.name()),
+    }
+    raw_frame(message.op() as u8, request_id, &payload)
+}
+
+/// Payload offset of a segment op's `width, height` words (after its flag
+/// word and counters, if any).
+fn dims_offset(message: &Message) -> usize {
+    match message {
+        Message::Segment { .. } | Message::SegmentReply { .. } => 0,
+        Message::SegmentDeltaReply { .. } => 12,
+        _ => 4,
+    }
+}
+
+/// Every segment frame at every awkward size, in op order.
+fn awkward_segment_frames(request_id: u64) -> Vec<(String, Message, Vec<u8>)> {
+    let mut gen = XorShift64::new(708);
+    let mut frames = Vec::new();
+    for (width, height) in AWKWARD_SIZES {
+        for message in segment_messages(&mut gen, width, height) {
+            let bytes = protocol::encode_message(request_id, &message).expect("encodable");
+            frames.push((
+                format!("{} {width}x{height}", message.name()),
+                message,
+                bytes,
+            ));
+        }
+    }
+    frames
+}
+
+/// The single-pass payload codecs emit exactly the bytes of the
+/// per-element reference for all six segment ops at every awkward size,
+/// the borrowed-image request encoders agree, and decoding gives back the
+/// encoded message.
+#[test]
+fn single_pass_codecs_match_the_per_element_reference_bytes() {
+    for (context, message, bytes) in awkward_segment_frames(77) {
+        assert_eq!(bytes, reference_frame(77, &message), "{context}: bytes");
+        let borrowed = match &message {
+            Message::Segment { image } => Some(protocol::encode_segment(77, image)),
+            Message::SegmentCached { image, bypass } => {
+                Some(protocol::encode_segment_cached(77, image, *bypass))
+            }
+            Message::SegmentDelta { image } => Some(protocol::encode_segment_delta(77, image)),
+            _ => None,
+        };
+        if let Some(borrowed) = borrowed {
+            assert_eq!(borrowed.expect("encodable"), bytes, "{context}: borrowed");
+        }
+        let (id, decoded) = protocol::decode_message(&bytes).expect("decodable");
+        assert_eq!((id, &decoded), (77, &message), "{context}: round trip");
+        let outcome = run_sansio_path(&bytes, |_, _| 4096);
+        assert_eq!(outcome.messages, vec![(77, message)], "{context}: sans-io");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Chunk-boundary independence
 // ---------------------------------------------------------------------------
 
@@ -563,7 +714,7 @@ fn curated_malformed_frames_match_the_stream_path_errors() {
     };
 
     // (name, bytes, expected error variant prefix, is_header_error)
-    let corpus: Vec<(&str, Vec<u8>, &str, bool)> = vec![
+    let mut corpus: Vec<(&str, Vec<u8>, &str, bool)> = vec![
         ("bad-magic", patched(&ping, 0, b'X'), "BadMagic", true),
         ("bad-version", patched(&ping, 4, 3), "BadVersion", true),
         ("unknown-op", patched(&ping, 6, 0x7E), "UnknownOp", true),
@@ -601,6 +752,38 @@ fn curated_malformed_frames_match_the_stream_path_errors() {
             false,
         ),
     ];
+
+    // The same oversize and dimension faults on every segment op at every
+    // awkward size: each is refused before the body is allocated.
+    let mut awkward = Vec::new();
+    for (context, message, frame) in awkward_segment_frames(id) {
+        let mut oversized = frame.clone();
+        oversized[16..20].copy_from_slice(&((MAX_PAYLOAD_BYTES as u32) + 1).to_le_bytes());
+        awkward.push((
+            format!("oversized {context}"),
+            oversized,
+            "PayloadTooLarge",
+            true,
+        ));
+        let dims_at = HEADER_LEN + dims_offset(&message);
+        let width = u32::from_le_bytes(frame[dims_at..dims_at + 4].try_into().unwrap());
+        let mut short = frame.clone();
+        short[dims_at..dims_at + 4].copy_from_slice(&(width + 1).to_le_bytes());
+        awkward.push((
+            format!("one column short {context}"),
+            short,
+            "BadLength",
+            false,
+        ));
+        let mut huge = frame;
+        huge[dims_at..dims_at + 8].copy_from_slice(&[0xFF; 8]);
+        awkward.push((format!("huge dims {context}"), huge, "BadDimensions", false));
+    }
+    corpus.extend(
+        awkward.iter().map(|(name, bytes, variant, header)| {
+            (name.as_str(), bytes.clone(), *variant, *header)
+        }),
+    );
 
     for (name, bytes, variant, header_error) in corpus {
         let stream = run_stream_path(&bytes);
@@ -659,42 +842,84 @@ fn truncated_frames_park_mid_frame_with_bounded_buffering() {
         },
     )
     .expect("segment");
-    for cut in [
+    let cuts = [
         1,
         7,
         HEADER_LEN - 1,
         HEADER_LEN,
         HEADER_LEN + 1,
         frame.len() - 1,
-    ] {
+    ];
+    assert_truncations_park(&frame, &cuts, "random segment");
+
+    // Every segment op at every awkward size: every prefix of the small
+    // frames, and the header, dimension and tail edges of the large ones.
+    for (context, message, frame) in awkward_segment_frames(9) {
+        let cuts: Vec<usize> = if frame.len() <= 512 {
+            (1..frame.len()).collect()
+        } else {
+            let mut cuts: Vec<usize> = (1..HEADER_LEN + 40).collect();
+            cuts.extend(frame.len() - 40..frame.len());
+            cuts.extend((HEADER_LEN + 40..frame.len()).step_by(997));
+            cuts
+        };
+        assert_truncations_park(&frame, &cuts, &context);
+        // A truncated payload handed straight to the body decoder is a
+        // typed length error, never a panic.
+        let payload = &frame[HEADER_LEN..];
+        for cut in 0..payload.len() {
+            let err = protocol::decode_body(message.op(), &payload[..cut])
+                .expect_err("a truncated payload cannot decode");
+            assert!(
+                matches!(err, ProtocolError::BadLength { .. }),
+                "{context}: payload cut at {cut}: {err:?}"
+            );
+        }
+    }
+}
+
+/// Feeds each prefix `frame[..cut]` to both decode paths: the stream path
+/// reports `UnexpectedEof`, the sans-io decoder parks holding the prefix.
+fn assert_truncations_park(frame: &[u8], cuts: &[usize], context: &str) {
+    for &cut in cuts {
         let bytes = &frame[..cut];
         let stream = run_stream_path(bytes);
-        assert_eq!(stream.error.as_deref(), Some(EOF_KEY), "cut at {cut}");
+        assert_eq!(
+            stream.error.as_deref(),
+            Some(EOF_KEY),
+            "{context}: cut at {cut}"
+        );
 
         let mut decoder = FrameDecoder::new();
         let mut offset = 0;
         while offset < bytes.len() {
             let (consumed, event) = decoder.feed(&bytes[offset..]);
-            assert!(event.is_none(), "cut at {cut}: no event for a prefix");
+            assert!(
+                event.is_none(),
+                "{context}: cut at {cut}: no event for a prefix"
+            );
             offset += consumed;
         }
-        assert!(decoder.mid_frame(), "cut at {cut}: parked mid-frame");
+        assert!(
+            decoder.mid_frame(),
+            "{context}: cut at {cut}: parked mid-frame"
+        );
         assert!(
             !decoder.is_failed(),
-            "cut at {cut}: truncation is not failure"
+            "{context}: cut at {cut}: truncation is not failure"
         );
         assert_eq!(
             decoder.buffered_bytes(),
             cut,
-            "cut at {cut}: holds what arrived"
+            "{context}: cut at {cut}: holds what arrived"
         );
         let expected_started = u64::from(cut >= HEADER_LEN);
         assert_eq!(
             decoder.frames_started(),
             expected_started,
-            "cut at {cut}: request counted iff the header arrived"
+            "{context}: cut at {cut}: request counted iff the header arrived"
         );
-        assert_eq!(decoder.frames_decoded(), 0, "cut at {cut}");
+        assert_eq!(decoder.frames_decoded(), 0, "{context}: cut at {cut}");
     }
 }
 
