@@ -602,13 +602,14 @@ fn finish_report(
     );
     let _ = writeln!(
         out,
-        "  server admission: max_queue {}, {} busy rejections",
+        "  server admission: max_queue {}, {} busy rejections, {} accept errors",
         if stats.max_queue > 0 {
             stats.max_queue.to_string()
         } else {
             "unbounded".to_string()
         },
         stats.busy_rejections,
+        stats.accept_errors,
     );
     if stats.lat_count > 0 {
         let _ = writeln!(

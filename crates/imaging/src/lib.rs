@@ -55,7 +55,7 @@ pub mod view;
 
 pub use crate::image::ImageBuffer;
 pub use error::{ImagingError, Result};
-pub use pixel::{Luma, Rgb};
+pub use pixel::{rgb_bytes, Luma, Rgb};
 pub use segment::{PixelClassifier, Segmenter};
 pub use view::{ImageView, LabelViewMut, TileRect, TileRects};
 

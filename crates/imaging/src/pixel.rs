@@ -4,8 +4,29 @@
 ///
 /// The workspace uses `Rgb<u8>` for stored images and `Rgb<f64>` for the
 /// normalised `[0, 1]` representation consumed by the segmentation algorithms.
+///
+/// The layout is exactly that of `[T; 3]`, so a slice of `Rgb<u8>` can be
+/// viewed as its packed `r, g, b, r, g, b, …` bytes (see [`rgb_bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(transparent)]
 pub struct Rgb<T>(pub [T; 3]);
+
+const _: () = assert!(
+    std::mem::size_of::<Rgb<u8>>() == 3 && std::mem::align_of::<Rgb<u8>>() == 1,
+    "Rgb<u8> must be three packed bytes"
+);
+
+/// The packed `r, g, b, r, g, b, …` bytes of a pixel slice, without a copy.
+///
+/// This is the byte order the wire protocol and the result-cache hasher
+/// use, so whole images move through them as one buffer.
+pub fn rgb_bytes(pixels: &[Rgb<u8>]) -> &[u8] {
+    // SAFETY: `Rgb<u8>` is `repr(transparent)` over `[u8; 3]`, so it has
+    // size 3, align 1 and no padding (asserted at compile time above).  A
+    // slice of `n` pixels is therefore `3 * n` initialised, contiguous bytes
+    // valid for the same lifetime, and `u8` has no invalid bit patterns.
+    unsafe { std::slice::from_raw_parts(pixels.as_ptr().cast::<u8>(), pixels.len() * 3) }
+}
 
 /// A single-channel (grayscale) pixel with channel type `T`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -135,6 +156,14 @@ impl<T: Copy> From<T> for Luma<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rgb_bytes_is_the_packed_channel_sequence() {
+        let pixels = [Rgb::new(1u8, 2, 3), Rgb::new(4, 5, 6), Rgb::new(7, 8, 9)];
+        assert_eq!(rgb_bytes(&pixels), &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(rgb_bytes(&pixels[1..2]), &[4, 5, 6]);
+        assert!(rgb_bytes(&[]).is_empty());
+    }
 
     #[test]
     fn rgb_accessors() {

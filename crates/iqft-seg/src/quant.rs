@@ -454,8 +454,12 @@ impl QuantizedPhaseTable {
             // the required target features are present.
             SimdLevel::Sse2 => unsafe { x86::classify_slice_sse2(self, pixels, out) },
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, the level is only Sse41 when the host has
+            // SSE4.1.
             SimdLevel::Sse41 => unsafe { x86::classify_slice_sse41(self, pixels, out) },
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, the level is only Avx2 when the host has
+            // AVX2.
             SimdLevel::Avx2 => unsafe { x86::classify_slice_avx2(self, pixels, out) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => self.classify_slice_scalar(pixels, out),

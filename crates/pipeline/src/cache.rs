@@ -27,8 +27,8 @@
 //! * **Correctness over capacity** — a hit is produced by copying the cached
 //!   labels into a fresh arena buffer; the cache never hands out a buffer it
 //!   still owns, so eviction can never corrupt a reply already in flight.
-//!   Keys are 128 bits (two independent 64-bit hashes) and carry the image
-//!   dimensions, which makes an accidental collision between distinct
+//!   Keys are 128 bits (two 64-bit halves of one streaming hash) and carry
+//!   the image dimensions, which makes an accidental collision between distinct
 //!   requests astronomically unlikely and a dimension mix-up impossible.
 //!
 //! Hit results are byte-identical to a fresh segmentation by construction:
@@ -37,7 +37,7 @@
 //! enforce the identity end to end.
 
 use crate::arena::LabelArena;
-use imaging::{ImageView, LabelMap, LabelViewMut, Rgb, RgbImage};
+use imaging::{rgb_bytes, ImageView, LabelMap, LabelViewMut, Rgb, RgbImage};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::path::Path;
@@ -88,9 +88,10 @@ impl CacheConfig {
     }
 }
 
-/// A 128-bit content address: two independent 64-bit hashes over the same
-/// request bytes.  The pair (plus the dimensions stored in the entry) makes
-/// accidental collisions between distinct images astronomically unlikely.
+/// A 128-bit content address: two 64-bit finalisations of one 256-bit
+/// `ByteHasher` state over the request bytes.  The pair (plus the
+/// dimensions stored in the entry) makes accidental collisions between
+/// distinct images astronomically unlikely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     lo: u64,
@@ -141,107 +142,132 @@ fn finish(mut state: u64) -> u64 {
     state ^ (state >> 32)
 }
 
-/// Hashes an image's pixel bytes (plus dimensions) into a [`CacheKey`].
-/// Pixels are packed 8 at a time into three 64-bit words, so the hot loop
-/// costs a fraction of a mixing step per pixel — cheap next to even the
-/// phase-table classifier's three lookups per pixel.
-fn hash_image(img: &RgbImage, seed_lo: u64, seed_hi: u64) -> CacheKey {
-    let dims = ((img.width() as u64) << 32) | img.height() as u64;
-    let mut lo = mix(seed_lo, dims);
-    let mut hi = mix(seed_hi, dims);
-    let pixels = img.as_slice();
-    let chunks = pixels.chunks_exact(8);
-    let remainder = chunks.remainder();
-    for chunk in chunks {
-        let mut bytes = [0u8; 24];
-        for (i, px) in chunk.iter().enumerate() {
-            bytes[i * 3] = px.r();
-            bytes[i * 3 + 1] = px.g();
-            bytes[i * 3 + 2] = px.b();
-        }
-        for word_bytes in bytes.chunks_exact(8) {
-            let word = u64::from_le_bytes(word_bytes.try_into().expect("8-byte chunk"));
-            lo = mix(lo, word);
-            hi = mix(hi, word.rotate_left(32));
-        }
-    }
-    for px in remainder {
-        let word = px.r() as u64 | (px.g() as u64) << 8 | (px.b() as u64) << 16;
-        lo = mix(lo, word);
-        hi = mix(hi, word.rotate_left(32));
-    }
-    CacheKey {
-        lo: finish(lo),
-        hi: finish(hi),
+/// Bytes the [`ByteHasher`] consumes per step: one 8-byte word per lane.
+const BLOCK: usize = 32;
+
+/// Per-lane multipliers (odd, high-entropy 64-bit constants), so identical
+/// words in different lanes fold differently.
+const LANE_K: [u64; 4] = [
+    0xA076_1D64_78BD_642F,
+    0xE703_7ED1_A0B4_28DB,
+    0x8EBC_6AF0_9C88_C6E3,
+    0x5899_65CC_7537_4CC3,
+];
+
+/// The folded multiply: the full 128-bit product of `a` and `b` with its
+/// two halves xored together, so every input bit reaches the result.
+#[inline(always)]
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ (product >> 64) as u64
+}
+
+/// Absorbs one 32-byte block: each lane folds its own word against its own
+/// multiplier.  The four lanes carry no dependency on one another, so the
+/// four multiplies of a block run in parallel.  Adding the word back after
+/// the fold keeps a lane from collapsing to a fixed value when the word
+/// happens to equal the lane's state.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; 4], block: &[u8; BLOCK]) {
+    let (words, _) = block.as_chunks::<8>();
+    for ((lane, word), k) in lanes.iter_mut().zip(words).zip(LANE_K) {
+        let word = u64::from_le_bytes(*word);
+        *lane = fold(*lane ^ word, k).wrapping_add(word);
     }
 }
 
-/// Streaming variant of the packing loop in [`hash_image`]: pixels are
-/// pushed one logical row at a time, packed 8-at-a-time into three 64-bit
-/// words exactly as the whole-image hasher does, with any short tail mixed
-/// pixel-by-pixel at `finish`.  Because it consumes *logical* pixels, the
-/// result depends only on the pixel sequence — never on the view's offset
-/// into (or the stride of) its parent buffer.
-struct PixelHasher {
-    lo: u64,
-    hi: u64,
-    buf: [u8; 24],
-    filled: usize,
+/// The streaming content hasher behind every cache key and route.
+///
+/// Four independent folded-multiply lanes consume the input 32 bytes at a
+/// time (the xxh3/wyhash family of designs).  Bytes that do not fill a block
+/// wait in a tail buffer, so the result depends only on the byte sequence
+/// fed, never on how it was split across [`ByteHasher::write`] calls: a
+/// whole image fed as one slice and a tile fed row by row hash exactly as
+/// the concatenation of their bytes.  [`ByteHasher::finish`] zero-pads the
+/// last partial block and mixes in the total length, so padding cannot alias
+/// real zero bytes, then folds the lanes into two 64-bit halves through two
+/// different mixing orders.
+///
+/// This is not a cryptographic hash: it separates benign content with
+/// 128 bits of key, it does not resist a peer that crafts collisions.
+struct ByteHasher {
+    lanes: [u64; 4],
+    tail: [u8; BLOCK],
+    tail_len: usize,
+    len: u64,
 }
 
-impl PixelHasher {
+impl ByteHasher {
     fn new(seed_lo: u64, seed_hi: u64) -> Self {
         Self {
-            lo: seed_lo,
-            hi: seed_hi,
-            buf: [0u8; 24],
-            filled: 0,
+            lanes: [
+                seed_lo,
+                seed_hi,
+                mix(seed_lo, seed_hi),
+                mix(seed_hi, seed_lo),
+            ],
+            tail: [0u8; BLOCK],
+            tail_len: 0,
+            len: 0,
         }
     }
 
     #[inline]
-    fn mix_word(&mut self, word: u64) {
-        self.lo = mix(self.lo, word);
-        self.hi = mix(self.hi, word.rotate_left(32));
-    }
-
-    #[inline]
-    fn push(&mut self, px: Rgb<u8>) {
-        self.buf[self.filled] = px.r();
-        self.buf[self.filled + 1] = px.g();
-        self.buf[self.filled + 2] = px.b();
-        self.filled += 3;
-        if self.filled == 24 {
-            for i in 0..3 {
-                let word = u64::from_le_bytes(
-                    self.buf[i * 8..(i + 1) * 8]
-                        .try_into()
-                        .expect("8-byte chunk"),
-                );
-                self.mix_word(word);
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = (BLOCK - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < BLOCK {
+                return;
             }
-            self.filled = 0;
+            let block = self.tail;
+            absorb(&mut self.lanes, &block);
+            self.tail_len = 0;
+        }
+        let (blocks, rest) = bytes.as_chunks::<BLOCK>();
+        let mut lanes = self.lanes;
+        for block in blocks {
+            absorb(&mut lanes, block);
+        }
+        self.lanes = lanes;
+        if !rest.is_empty() {
+            self.tail[..rest.len()].copy_from_slice(rest);
+            self.tail_len = rest.len();
         }
     }
 
     fn finish(mut self) -> CacheKey {
-        let tail = std::mem::take(&mut self.buf);
-        for chunk in tail[..self.filled].chunks_exact(3) {
-            let word = chunk[0] as u64 | (chunk[1] as u64) << 8 | (chunk[2] as u64) << 16;
-            self.mix_word(word);
+        if self.tail_len > 0 {
+            self.tail[self.tail_len..].fill(0);
+            let block = self.tail;
+            absorb(&mut self.lanes, &block);
         }
+        let [a, b, c, d] = self.lanes;
         CacheKey {
-            lo: finish(self.lo),
-            hi: finish(self.hi),
+            lo: finish(mix(mix(mix(mix(SEED_LO, a), b), c), d ^ self.len)),
+            hi: finish(mix(mix(mix(mix(SEED_HI, c), d), a), b ^ self.len)),
         }
     }
 }
 
+/// Hashes an image's pixel bytes (plus dimensions) into a [`CacheKey`]: the
+/// dimensions are mixed into the seeds, then the pixels are fed as one
+/// contiguous byte slice.
+fn hash_image(img: &RgbImage, seed_lo: u64, seed_hi: u64) -> CacheKey {
+    let dims = ((img.width() as u64) << 32) | img.height() as u64;
+    let mut hasher = ByteHasher::new(mix(seed_lo, dims), mix(seed_hi, dims));
+    hasher.write(rgb_bytes(img.as_slice()));
+    hasher.finish()
+}
+
 /// A stable 64-bit content hash of an image for *routing* (consistent-hash
-/// placement across a fleet of daemons), using the same packed
-/// multiply-rotate discipline as the cache keys but with the fixed, unsalted
-/// seeds — every client computes the same route for the same pixels no
-/// matter what plan its servers run.
+/// placement across a fleet of daemons), using the same `ByteHasher` as
+/// the cache keys but with the fixed, unsalted seeds — every client
+/// computes the same route for the same pixels no matter what plan its
+/// servers run.
 pub fn route_hash(img: &RgbImage) -> u64 {
     hash_image(img, SEED_LO, SEED_HI).lo
 }
@@ -249,7 +275,7 @@ pub fn route_hash(img: &RgbImage) -> u64 {
 /// Snapshot file magic: the first four bytes of a persisted cache.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IQCS";
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 /// Fixed snapshot header size: magic, version, reserved, salt fingerprint,
 /// entry count.
 pub const SNAPSHOT_HEADER_LEN: usize = 24;
@@ -521,13 +547,14 @@ impl SegmentCache {
         tile_h: usize,
     ) -> CacheKey {
         let geometry = ((tile_w as u64) << 32) | tile_h as u64;
-        let mut hasher = PixelHasher::new(mix(self.seed_lo, geometry), mix(self.seed_hi, geometry));
         let (width, height) = view.dimensions();
-        hasher.mix_word(((width as u64) << 32) | height as u64);
+        let dims = ((width as u64) << 32) | height as u64;
+        let mut hasher = ByteHasher::new(
+            mix(mix(self.seed_lo, geometry), dims),
+            mix(mix(self.seed_hi, geometry), dims),
+        );
         for row in view.rows() {
-            for px in row {
-                hasher.push(*px);
-            }
+            hasher.write(rgb_bytes(row));
         }
         hasher.finish()
     }
@@ -1352,13 +1379,21 @@ mod tests {
             warm.load_from(&path),
             Err(SnapshotError::Corrupt(_))
         ));
-        let mut bad_version = good.clone();
-        bad_version[4..6].copy_from_slice(&9u16.to_le_bytes());
-        std::fs::write(&path, &bad_version).unwrap();
-        assert!(matches!(
-            warm.load_from(&path),
-            Err(SnapshotError::BadVersion(9))
-        ));
+        // Version 1 snapshots carry keys from the previous content hasher,
+        // which can never match again: they are refused like any other
+        // unsupported version.
+        for version in [1u16, 9] {
+            let mut bad_version = good.clone();
+            bad_version[4..6].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bad_version).unwrap();
+            match warm.load_from(&path) {
+                Err(err @ SnapshotError::BadVersion(v)) if v == version => {
+                    assert!(err.to_string().contains(&format!("version {version}")))
+                }
+                other => panic!("expected BadVersion({version}), got {other:?}"),
+            }
+            assert_eq!(warm.stats().entries, 0);
+        }
         // A missing file is an i/o error, not a panic.
         assert!(matches!(
             warm.load_from(Path::new("/nonexistent/iqft.snap")),
@@ -1416,6 +1451,105 @@ mod tests {
         assert!(stats.bytes <= entry_bytes * 2);
         assert!(stats.evictions >= 6);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The fixed 7×3 image and salt the golden-value test pins.
+    fn golden_image() -> RgbImage {
+        RgbImage::from_fn(7, 3, |x, y| {
+            Rgb::new(
+                (x * 37 + y * 11) as u8,
+                (x * y * 5 + 3) as u8,
+                (255 - x * 19 - y) as u8,
+            )
+        })
+    }
+
+    /// Pins the content hasher's output.  Keys are persisted in snapshots
+    /// and routes decide fleet placement on every client, so a change to
+    /// any of these values changes what a persisted key means: it requires
+    /// a `SNAPSHOT_VERSION` bump (and moves every route).
+    #[test]
+    fn hasher_golden_values_are_pinned() {
+        let cache = small_cache(1 << 20, 4);
+        let img = golden_image();
+        let key = cache.key_for(&img);
+        let view = img.view(imaging::TileRect::new(2, 1, 4, 2)).unwrap();
+        let tile = cache.key_for_tile(&view, 4, 4);
+        let got = [key.lo, key.hi, tile.lo, tile.hi, route_hash(&img)];
+        let pinned = [
+            0xaa1e_8800_91fc_e7b3,
+            0x8088_d271_0b7d_7fd8,
+            0x8803_3f5d_0f00_98e9,
+            0xea1e_24c3_6aa5_acd7,
+            0x8494_94fc_4bfc_f0da,
+        ];
+        assert_eq!(got, pinned, "got {got:#018x?}");
+        assert_eq!(SNAPSHOT_VERSION, 2);
+    }
+
+    #[test]
+    fn byte_hasher_is_split_invariant() {
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 73 + 19) as u8).collect();
+        let whole = |bytes: &[u8]| {
+            let mut hasher = ByteHasher::new(SEED_LO, SEED_HI);
+            hasher.write(bytes);
+            hasher.finish()
+        };
+        let reference = whole(&bytes);
+        for cut in 0..=bytes.len() {
+            let mut hasher = ByteHasher::new(SEED_LO, SEED_HI);
+            hasher.write(&bytes[..cut]);
+            hasher.write(&bytes[cut..]);
+            assert_eq!(hasher.finish(), reference, "split at {cut}");
+        }
+        for chunk in 1..=BLOCK + 1 {
+            let mut hasher = ByteHasher::new(SEED_LO, SEED_HI);
+            for piece in bytes.chunks(chunk) {
+                hasher.write(piece);
+            }
+            assert_eq!(hasher.finish(), reference, "{chunk}-byte pieces");
+        }
+        // Every prefix hashes differently, including the zero-padded tail
+        // against real trailing zero bytes.
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_ne!(whole(&padded), reference);
+        assert_ne!(whole(&bytes[..99]), reference);
+    }
+
+    #[test]
+    fn changing_any_single_byte_changes_the_key() {
+        let cache = small_cache(1 << 20, 4);
+        let img = golden_image();
+        let key = cache.key_for(&img);
+        for i in 0..img.len() {
+            for channel in 0..3 {
+                let mut changed = img.clone();
+                let mut px = changed.as_slice()[i];
+                px.0[channel] ^= 0x01;
+                changed.set(i % 7, i / 7, px);
+                assert_ne!(cache.key_for(&changed), key, "pixel {i} channel {channel}");
+            }
+        }
+
+        // A 6×4 view inside a wider parent: 18 bytes per row, so rows
+        // straddle block boundaries and the last bytes sit in the tail.
+        let parent = image(4, 11, 7);
+        let rect = imaging::TileRect::new(3, 2, 6, 4);
+        let tile_key = cache.key_for_tile(&parent.view(rect).unwrap(), 8, 8);
+        for y in 0..parent.height() {
+            for x in 0..parent.width() {
+                for channel in 0..3 {
+                    let mut changed = parent.clone();
+                    let mut px = changed.get(x, y);
+                    px.0[channel] ^= 0x80;
+                    changed.set(x, y, px);
+                    let got = cache.key_for_tile(&changed.view(rect).unwrap(), 8, 8);
+                    let inside = (3..9).contains(&x) && (2..6).contains(&y);
+                    assert_eq!(got != tile_key, inside, "({x}, {y}) channel {channel}");
+                }
+            }
+        }
     }
 
     #[test]

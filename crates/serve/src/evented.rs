@@ -237,6 +237,9 @@ struct Reactor {
     /// the acceptor.
     listener: Option<TcpListener>,
     accepting_done: Arc<AtomicBool>,
+    /// Set when `accept` fails: the listener stays out of the poll set
+    /// until then, or until a connection closes and frees a descriptor.
+    accept_paused_until: Option<Instant>,
     job_tx: Sender<Job>,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -288,15 +291,24 @@ impl Reactor {
             targets.clear();
             pollfds.push(PollFd::new(self.waker_rx.as_raw_fd(), POLLIN));
             targets.push(Target::Waker);
-            if let Some(listener) = &self.listener {
-                pollfds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-                targets.push(Target::Listener);
-            }
             let mut timeout = if shutting_down {
                 SHUTDOWN_GRACE
             } else {
                 POLL_INTERVAL
             };
+            if let Some(listener) = &self.listener {
+                // A persistent accept error (EMFILE) leaves the listener
+                // readable, so polling it during the back-off would wake
+                // this reactor at once, forever.
+                match self.accept_paused_until {
+                    Some(until) if until > now => timeout = timeout.min(until - now),
+                    _ => {
+                        self.accept_paused_until = None;
+                        pollfds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+                        targets.push(Target::Listener);
+                    }
+                }
+            }
             for (idx, slot) in self.slots.iter().enumerate() {
                 let Some(conn) = &slot.conn else { continue };
                 let mut events = 0i16;
@@ -377,9 +389,14 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient (ECONNABORTED etc.); the next readiness pass
-                // retries, so no hot loop is possible here.
-                Err(_) => break,
+                // Like the threaded acceptor, back off on any other error:
+                // a persistent one (EMFILE) would otherwise spin the
+                // level-triggered poll at 100% CPU.
+                Err(_) => {
+                    self.shared.stats.accept_error();
+                    self.accept_paused_until = Some(now + POLL_INTERVAL);
+                    break;
+                }
             }
         }
     }
@@ -405,6 +422,8 @@ impl Reactor {
             // recognised and dropped instead of landing on a new tenant.
             self.slots[idx].gen += 1;
             self.free.push(idx);
+            // The freed descriptor may be what a paused accept was missing.
+            self.accept_paused_until = None;
         }
     }
 
@@ -778,6 +797,7 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Jo
             waker_rx,
             listener: if index == 0 { listener.take() } else { None },
             accepting_done: Arc::clone(&accepting_done),
+            accept_paused_until: None,
             job_tx: job_tx.clone(),
             slots: Vec::new(),
             free: Vec::new(),

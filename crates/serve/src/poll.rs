@@ -103,6 +103,9 @@ pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> 
         for fd in fds.iter_mut() {
             fd.revents = 0;
         }
+        // SAFETY: `PollFd` is `repr(C)` with the layout of `struct pollfd`,
+        // and the pointer and length describe the caller's live, exclusively
+        // borrowed slice, which poll(2) only writes `revents` into.
         let rc = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as sys::nfds_t, timeout_ms) };
         if rc >= 0 {
             return Ok(rc as usize);
@@ -140,6 +143,9 @@ pub fn raise_nofile_limit(want: u64) -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         let mut limit = rlimit::Rlimit { cur: 0, max: 0 };
+        // SAFETY: `Rlimit` is `repr(C)` and at least as large as
+        // `struct rlimit` (two `rlim_t`, which are `u64` on 64-bit Linux),
+        // and the pointer is a live, exclusive borrow the call fills in.
         if unsafe { rlimit::getrlimit(rlimit::RLIMIT_NOFILE, &mut limit) } != 0 {
             return None;
         }
@@ -148,6 +154,7 @@ pub fn raise_nofile_limit(want: u64) -> Option<u64> {
                 cur: want.min(limit.max),
                 max: limit.max,
             };
+            // SAFETY: as for getrlimit; the call only reads `raised`.
             if unsafe { rlimit::setrlimit(rlimit::RLIMIT_NOFILE, &raised) } == 0 {
                 limit.cur = raised.cur;
             }

@@ -73,7 +73,7 @@
 //! which is what lets the protocol be property- and fuzz-tested with no
 //! sockets at all (`tests/protocol_sansio.rs`).
 
-use imaging::{LabelMap, Rgb, RgbImage};
+use imaging::{rgb_bytes, LabelMap, Rgb, RgbImage};
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
@@ -456,54 +456,28 @@ fn read_flags(op: Op, payload: &[u8], allowed: u32) -> Result<(u32, &[u8]), Prot
     Ok((flags, &payload[4..]))
 }
 
-/// Pixels per block in the RGB codecs.  A fixed 8-pixel (24-byte) block
-/// lets the compiler turn the per-pixel 3-byte copies into whole-register
-/// moves; the short tail is copied pixel by pixel.
-const PIXEL_BLOCK: usize = 8;
-
-#[inline(always)]
-fn pack_pixels(out: &mut [u8], pixels: &[Rgb<u8>]) {
-    for (bytes, px) in out.chunks_exact_mut(3).zip(pixels) {
-        bytes.copy_from_slice(&px.0);
-    }
-}
-
-#[inline(always)]
-fn unpack_pixels(pixels: &mut [Rgb<u8>], bytes: &[u8]) {
-    for (px, c) in pixels.iter_mut().zip(bytes.chunks_exact(3)) {
-        *px = Rgb([c[0], c[1], c[2]]);
-    }
-}
-
 /// Decodes the `width, height, pixels…` image layout shared by the segment
 /// request ops.  The dimensions and the exact length are checked before the
-/// pixel buffer is allocated; the pixels are then filled in one pass.
+/// pixel buffer is allocated; the pixels are then collected from whole
+/// 3-byte chunks in one pass.
 fn decode_image(op: Op, payload: &[u8]) -> Result<RgbImage, ProtocolError> {
     let (width, height, pixels) = read_dims(op, payload)?;
     expect_len(op, payload, 8 + pixels * 3)?;
-    let mut data = vec![Rgb::BLACK; pixels];
-    let mut blocks = data.chunks_exact_mut(PIXEL_BLOCK);
-    let mut bytes = payload[8..].chunks_exact(3 * PIXEL_BLOCK);
-    for (block, chunk) in (&mut blocks).zip(&mut bytes) {
-        unpack_pixels(block, chunk);
-    }
-    unpack_pixels(blocks.into_remainder(), bytes.remainder());
+    let (chunks, _) = payload[8..].as_chunks::<3>();
+    let data: Vec<Rgb<u8>> = chunks.iter().map(|&c| Rgb(c)).collect();
     RgbImage::from_vec(width, height, data)
         .map_err(|_| ProtocolError::BadDimensions { width, height })
 }
 
 /// Decodes the `width, height, labels…` layout shared by the segment reply
 /// ops.  The dimensions and the exact length are checked before the label
-/// buffer is allocated; the labels are then read in one pass.
+/// buffer is allocated; the labels are then collected from whole 4-byte
+/// chunks in one pass.
 fn decode_labels(op: Op, payload: &[u8]) -> Result<LabelMap, ProtocolError> {
     let (width, height, pixels) = read_dims(op, payload)?;
     expect_len(op, payload, 8 + pixels * 4)?;
-    // An exact-size collect writes each label once; zero-filling a buffer
-    // and then zipping over it measured slower.
-    let data: Vec<u32> = payload[8..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let (chunks, _) = payload[8..].as_chunks::<4>();
+    let data: Vec<u32> = chunks.iter().map(|&c| u32::from_le_bytes(c)).collect();
     LabelMap::from_vec(width, height, data)
         .map_err(|_| ProtocolError::BadDimensions { width, height })
 }
@@ -606,19 +580,12 @@ fn finish_frame(mut frame: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
     Ok(frame)
 }
 
-/// Appends `width, height, pixels…`: the frame grows once to its final
-/// length and the pixels are packed into it in one pass.
+/// Appends `width, height, pixels…`: the pixels' packed bytes are already
+/// the wire layout, so they go in as one copy.
 fn append_segment_payload(frame: &mut Vec<u8>, image: &RgbImage) {
     frame.extend_from_slice(&(image.width() as u32).to_le_bytes());
     frame.extend_from_slice(&(image.height() as u32).to_le_bytes());
-    let start = frame.len();
-    frame.resize(start + image.len() * 3, 0);
-    let mut bytes = frame[start..].chunks_exact_mut(3 * PIXEL_BLOCK);
-    let mut blocks = image.as_slice().chunks_exact(PIXEL_BLOCK);
-    for (chunk, block) in (&mut bytes).zip(&mut blocks) {
-        pack_pixels(chunk, block);
-    }
-    pack_pixels(bytes.into_remainder(), blocks.remainder());
+    frame.extend_from_slice(rgb_bytes(image.as_slice()));
 }
 
 /// Appends `width, height, labels…`: the frame grows once to its final

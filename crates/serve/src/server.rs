@@ -363,6 +363,7 @@ impl Shared {
             quant_fallback_pixels: self.pipeline.classifier().quant_fallback_pixels(),
             max_queue: self.max_queue,
             busy_rejections: self.stats.busy_rejections(),
+            accept_errors: self.stats.accept_errors(),
             calibration: self.calibration.clone(),
             conn_requests: conn.requests,
             conn_pixels: conn.pixels,
@@ -617,6 +618,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 if shared.shutting_down() {
                     break;
                 }
+                shared.stats.accept_error();
                 // Transient accept errors (e.g. ECONNABORTED) are not
                 // fatal, but persistent ones (e.g. EMFILE) would otherwise
                 // hot-loop the acceptor at 100% CPU — back off briefly.

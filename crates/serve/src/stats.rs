@@ -38,6 +38,9 @@ pub struct ServerStats {
     /// Segment requests refused with a typed `Busy` reply because the
     /// admission limit (`max_queue`) was reached.
     busy_rejections: AtomicUsize,
+    /// Failed `accept` calls on the listener (e.g. EMFILE when the process
+    /// is out of descriptors); each one pauses accepting briefly.
+    accept_errors: AtomicUsize,
     /// Per-op service latency (pipeline execution time) across every
     /// connection and both serving cores.
     latency: LatencyHistogram,
@@ -82,6 +85,11 @@ impl ServerStats {
         self.busy_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a failed `accept` on the listener.
+    pub fn accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records the service latency of one completed segment request.
     pub fn record_latency(&self, latency: Duration) {
         self.latency.record(latency);
@@ -115,6 +123,11 @@ impl ServerStats {
     /// Segment requests refused with a typed `Busy` reply so far.
     pub fn busy_rejections(&self) -> usize {
         self.busy_rejections.load(Ordering::Relaxed)
+    }
+
+    /// Failed `accept` calls so far.
+    pub fn accept_errors(&self) -> usize {
+        self.accept_errors.load(Ordering::Relaxed)
     }
 
     /// Connections accepted since boot.
@@ -192,6 +205,9 @@ pub struct StatsSnapshot {
     pub max_queue: usize,
     /// Segment requests refused with a typed `Busy` reply.
     pub busy_rejections: usize,
+    /// Failed `accept` calls on the listener (descriptor exhaustion and
+    /// the like); each one paused accepting for a short back-off.
+    pub accept_errors: usize,
     /// Startup-calibration summary (probe counts and the best measured
     /// throughput); empty when the server booted with an explicit plan.
     pub calibration: String,
@@ -284,6 +300,7 @@ impl StatsSnapshot {
         );
         push("max_queue", self.max_queue.to_string());
         push("busy_rejections", self.busy_rejections.to_string());
+        push("accept_errors", self.accept_errors.to_string());
         push("calibration", self.calibration.clone());
         push("lat_count", self.lat_count.to_string());
         push("lat_p50_us", self.lat_p50_us.to_string());
@@ -386,6 +403,9 @@ impl StatsSnapshot {
                 "busy_rejections" => {
                     snapshot.busy_rejections = value.parse().map_err(|_| bad("count"))?
                 }
+                "accept_errors" => {
+                    snapshot.accept_errors = value.parse().map_err(|_| bad("count"))?
+                }
                 "calibration" => snapshot.calibration = value.to_string(),
                 "lat_count" => snapshot.lat_count = value.parse().map_err(|_| bad("count"))?,
                 "lat_p50_us" => snapshot.lat_p50_us = value.parse().map_err(|_| bad("count"))?,
@@ -436,6 +456,7 @@ mod tests {
             quant_fallback_pixels: 17,
             max_queue: 8,
             busy_rejections: 3,
+            accept_errors: 5,
             calibration: "cores=4;probes=8;elapsed_ms=41;best_mpix_s=512.3;exhausted=0".to_string(),
             lat_count: 100,
             lat_p50_us: 900,
@@ -532,11 +553,13 @@ mod tests {
         stats.request();
         stats.segmented(1000);
         stats.protocol_error();
+        stats.accept_error();
         assert_eq!(stats.connections_total(), 2);
         assert_eq!(stats.connections_open(), 1);
         assert_eq!(stats.requests_total(), 2);
         assert_eq!(stats.segment_requests(), 1);
         assert_eq!(stats.pixels_total(), 1000);
         assert_eq!(stats.protocol_errors(), 1);
+        assert_eq!(stats.accept_errors(), 1);
     }
 }

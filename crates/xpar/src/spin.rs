@@ -24,6 +24,9 @@ pub struct SpinLock<T> {
 // SAFETY: the lock guarantees exclusive access to `value` while a guard is
 // alive, so sharing the lock across threads is sound as long as `T: Send`.
 unsafe impl<T: Send> Sync for SpinLock<T> {}
+// SAFETY: the lock owns its `T` outright, so moving the lock to another
+// thread moves the value with it, which `T: Send` permits; the `AtomicBool`
+// flag is `Send` on its own.
 unsafe impl<T: Send> Send for SpinLock<T> {}
 
 /// RAII guard returned by [`SpinLock::lock`]; releases the lock on drop.

@@ -242,6 +242,7 @@ fn stats_snapshot_round_trips_through_its_wire_text() {
             quant_fallback_pixels: rng.gen::<u64>() >> 16,
             max_queue: rng.gen_range(0usize..256),
             busy_rejections: rng.gen_range(0usize..1 << 20),
+            accept_errors: rng.gen_range(0usize..1 << 20),
             calibration: if rng.gen::<bool>() {
                 // Calibration summaries themselves contain '=' — the parser
                 // must split on the first one only.
