@@ -29,7 +29,7 @@ use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imaging::RgbImage;
 use iqft_pipeline::CacheConfig;
-use iqft_serve::{ClientConfig, FleetClient, ServeMode, Server, ServerConfig};
+use iqft_serve::{ClientConfig, FleetClient, Server, ServerConfig};
 use seg_engine::{ClassifierKind, SegmentPlan};
 use std::time::Duration;
 
@@ -41,7 +41,6 @@ const IMAGES: usize = 24;
 const BUDGET_ENTRIES: usize = 20;
 
 fn bench(c: &mut Criterion) {
-    #[cfg(unix)]
     iqft_serve::poll::raise_nofile_limit(4096);
 
     let mut group = c.benchmark_group("ablation_fleet");
@@ -72,8 +71,7 @@ fn bench(c: &mut Criterion) {
                     .with_cache(CacheConfig {
                         capacity_bytes: entry_bytes * BUDGET_ENTRIES,
                         shards: 1,
-                    })
-                    .with_mode(ServeMode::Evented),
+                    }),
                 )
                 .expect("bind fleet daemon")
             })

@@ -3,8 +3,8 @@
 //! with flat per-connection memory, where a thread-per-connection core pays
 //! a stack per peer.
 //!
-//! For each sweep point `n` in {64, 256, 1024} the setup boots one evented
-//! server in-process, dials `n` persistent connections (each completes a
+//! For each sweep point `n` in {64, 256, 1024} the setup boots one server
+//! in-process, dials `n` persistent connections (each completes a
 //! ping so it is fully registered with a reactor), and measures the
 //! process-wide RSS growth the connections cost, from `/proc/self/status`
 //! `VmRSS`.  The measured loop then round-trips a ping on every one of the
@@ -23,7 +23,7 @@
 use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iqft_pipeline::CacheConfig;
-use iqft_serve::{Client, ClientConfig, ServeMode, Server, ServerConfig};
+use iqft_serve::{Client, ClientConfig, Server, ServerConfig};
 use seg_engine::SegmentPlan;
 use std::time::Duration;
 
@@ -49,7 +49,6 @@ fn rss_bytes() -> usize {
 fn bench(c: &mut Criterion) {
     // 1024 clients plus their server-side halves far exceed the common 1024
     // soft descriptor limit.
-    #[cfg(unix)]
     iqft_serve::poll::raise_nofile_limit(8192);
 
     let mut group = c.benchmark_group("ablation_serve_scaling");
@@ -66,11 +65,10 @@ fn bench(c: &mut Criterion) {
                 plan: SegmentPlan::default(),
                 max_inflight: 2,
                 cache: CacheConfig::with_capacity_mb(16),
-                mode: ServeMode::Evented,
                 ..ServerConfig::default()
             },
         )
-        .expect("bind evented server");
+        .expect("bind server");
         let addr = server.local_addr();
 
         // Dial the held connections and settle them (one ping each) before

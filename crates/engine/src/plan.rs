@@ -300,25 +300,6 @@ impl SegmentPlan {
         }
     }
 
-    /// Parses the harness flags `--classifier exact|lut|table`,
-    /// `--tile off|WxH`, and `--backend serial|threads|rayon --threads N`
-    /// into a plan.
-    #[deprecated(
-        note = "parse a PlanSpec string instead (`\"classifier=…;tile=…;backend=…\".parse()`)"
-    )]
-    pub fn from_flags(
-        classifier: &str,
-        tile: &str,
-        backend: &str,
-        threads: usize,
-    ) -> Result<Self, String> {
-        Ok(Self::new(
-            ClassifierKind::from_flag(classifier)?,
-            Tiling::from_flag(tile)?,
-            SegmentEngine::from_flags(backend, threads)?.backend(),
-        ))
-    }
-
     /// Replaces the classifier kind.
     pub fn with_classifier(mut self, classifier: ClassifierKind) -> Self {
         self.classifier = classifier;
@@ -505,27 +486,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn plan_flags_compose_the_three_axes() {
-        let plan = SegmentPlan::from_flags("lut", "16x8", "threads", 3).unwrap();
-        assert_eq!(plan.classifier(), ClassifierKind::Lut);
-        assert_eq!(
-            plan.tiling(),
-            Tiling::Tiles {
-                width: 16,
-                height: 8
-            }
-        );
-        assert_eq!(plan.backend(), Backend::Threads(3));
-        assert_eq!(plan.engine(), SegmentEngine::with_threads(3));
-        assert!(plan.describe().contains("classifier=lut"));
-        assert!(plan.describe().contains("tile=16x8"));
-        assert!(SegmentPlan::from_flags("gpu", "off", "serial", 0).is_err());
-        assert!(SegmentPlan::from_flags("table", "?", "serial", 0).is_err());
-        assert!(SegmentPlan::from_flags("table", "off", "gpu", 0).is_err());
-    }
-
-    #[test]
     fn plan_specs_round_trip_losslessly() {
         let backends = [
             Backend::Serial,
@@ -558,6 +518,20 @@ mod tests {
         )
         .to_spec();
         assert_eq!(spec, "classifier=table;tile=48x48;backend=threads:4");
+        // A hand-written spec composes all three axes.
+        let plan = SegmentPlan::from_spec("classifier=lut;tile=16x8;backend=threads:3").unwrap();
+        assert_eq!(plan.classifier(), ClassifierKind::Lut);
+        assert_eq!(
+            plan.tiling(),
+            Tiling::Tiles {
+                width: 16,
+                height: 8
+            }
+        );
+        assert_eq!(plan.backend(), Backend::Threads(3));
+        assert_eq!(plan.engine(), SegmentEngine::with_threads(3));
+        assert!(plan.describe().contains("classifier=lut"));
+        assert!(plan.describe().contains("tile=16x8"));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The daemon runs under `ulimit -n 32` and is dialed by more clients than
 //! it has descriptors for, so `accept` keeps failing with EMFILE while the
-//! listener stays readable.  Each serving core must back off instead of
-//! burning a core, count the failures in its stats, and accept again once
-//! the clients leave.
+//! listener stays readable.  The daemon must back off instead of burning a
+//! core, count the failures in its stats, and accept again once the clients
+//! leave.
 
 #![cfg(target_os = "linux")]
 
@@ -31,11 +31,9 @@ impl Drop for Daemon {
     }
 }
 
-fn spawn_daemon(mode: &str) -> (Daemon, String) {
-    let addr_file = std::env::temp_dir().join(format!(
-        "iqft-accept-backoff-{mode}-{}.addr",
-        std::process::id()
-    ));
+fn spawn_daemon() -> (Daemon, String) {
+    let addr_file =
+        std::env::temp_dir().join(format!("iqft-accept-backoff-{}.addr", std::process::id()));
     let _ = std::fs::remove_file(&addr_file);
     // `exec` keeps the shell's pid, so the child's pid is the daemon's.
     let child = Command::new("sh")
@@ -43,7 +41,7 @@ fn spawn_daemon(mode: &str) -> (Daemon, String) {
         .arg(format!("ulimit -n {DESCRIPTORS} && exec \"$0\" \"$@\""))
         .arg(env!("CARGO_BIN_EXE_iqft-experiments"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-        .args(["--serve-mode", mode, "--addr-file"])
+        .arg("--addr-file")
         .arg(&addr_file)
         .stdout(Stdio::null())
         .spawn()
@@ -56,10 +54,7 @@ fn spawn_daemon(mode: &str) -> (Daemon, String) {
                 return (daemon, addr);
             }
         }
-        assert!(
-            Instant::now() < deadline,
-            "{mode}: daemon never wrote its address"
-        );
+        assert!(Instant::now() < deadline, "daemon never wrote its address");
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -85,15 +80,16 @@ fn ticks_per_second() -> u64 {
         .unwrap_or(100)
 }
 
-fn check_mode(mode: &str) {
-    let (mut daemon, addr) = spawn_daemon(mode);
+#[test]
+fn descriptor_exhaustion_backs_off_instead_of_spinning() {
+    let (mut daemon, addr) = spawn_daemon();
     let config = ClientConfig::new(addr.as_str())
         .with_connect_deadline(Duration::from_secs(2))
         .with_reply_deadline(Duration::from_secs(5));
     // More clients than the daemon has descriptors: the first few are
     // accepted, the rest wait in the listen backlog while accept fails.
     let mut clients: Vec<Client> = (0..CLIENTS)
-        .map(|i| Client::open(&config).unwrap_or_else(|e| panic!("{mode}: dial {i}: {e}")))
+        .map(|i| Client::open(&config).unwrap_or_else(|e| panic!("dial {i}: {e}")))
         .collect();
     std::thread::sleep(Duration::from_millis(300));
 
@@ -104,12 +100,12 @@ fn check_mode(mode: &str) {
     let budget = ticks_per_second() * WINDOW.as_secs() / 4;
     assert!(
         burned < budget,
-        "{mode}: daemon burned {burned} ticks in {WINDOW:?} with accept failing (budget {budget})"
+        "daemon burned {burned} ticks in {WINDOW:?} with accept failing (budget {budget})"
     );
 
     // The first client was accepted before descriptors ran out.
     let stats = clients[0].stats().expect("stats on an accepted connection");
-    assert!(stats.accept_errors > 0, "{mode}: {stats:?}");
+    assert!(stats.accept_errors > 0, "{stats:?}");
 
     clients.clear();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -120,10 +116,7 @@ fn check_mode(mode: &str) {
         match answered {
             Ok(client) => break client,
             Err(e) => {
-                assert!(
-                    Instant::now() < deadline,
-                    "{mode}: no ping after clients left: {e}"
-                );
+                assert!(Instant::now() < deadline, "no ping after clients left: {e}");
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
@@ -132,14 +125,7 @@ fn check_mode(mode: &str) {
     drop(client);
     let deadline = Instant::now() + Duration::from_secs(20);
     while daemon.child.try_wait().expect("poll the daemon").is_none() {
-        assert!(Instant::now() < deadline, "{mode}: daemon did not drain");
+        assert!(Instant::now() < deadline, "daemon did not drain");
         std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-#[test]
-fn descriptor_exhaustion_backs_off_instead_of_spinning() {
-    for mode in ["evented", "threads"] {
-        check_mode(mode);
     }
 }

@@ -40,7 +40,7 @@ use crate::arena::LabelArena;
 use imaging::{rgb_bytes, ImageView, LabelMap, LabelViewMut, Rgb, RgbImage};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -343,6 +343,15 @@ impl From<io::Error> for SnapshotError {
     fn from(err: io::Error) -> Self {
         SnapshotError::Io(err)
     }
+}
+
+/// Where [`SegmentCache::save_to`] stages a snapshot: `path` with `.tmp`
+/// appended, so the staging file never coincides with `path` itself (as
+/// replacing the extension would for a `*.tmp` path).
+fn snapshot_tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
 /// Incremental FNV-1a over the snapshot byte stream — the trailer checksum.
@@ -734,12 +743,36 @@ impl SegmentCache {
     /// bytes, all little-endian), and a trailing FNV-1a checksum over every
     /// preceding byte.
     ///
-    /// The snapshot is written to a `.tmp` sibling and renamed into place,
-    /// so a crash mid-save leaves any previous snapshot intact and never a
-    /// half-written file under `path`.
+    /// The snapshot is written to `<path>.tmp`, fsynced, renamed into
+    /// place, and the directory is fsynced, so a crash mid-save leaves any
+    /// previous snapshot intact and never a half-written file under `path`.
+    /// A failed save removes the `.tmp` it created.
     pub fn save_to(&self, path: &Path) -> Result<SnapshotStats, SnapshotError> {
-        let tmp = path.with_extension("tmp");
-        let mut file = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        let tmp = snapshot_tmp_path(path);
+        let file = std::fs::File::create(&tmp)?;
+        let saved = self
+            .write_snapshot(file)
+            .and_then(|stats| std::fs::rename(&tmp, path).map(|()| stats));
+        let stats = match saved {
+            Ok(stats) => stats,
+            Err(err) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(err.into());
+            }
+        };
+        // The rename is durable only once the directory entry is on disk.
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+        Ok(stats)
+    }
+
+    /// Writes the snapshot bytes (see [`SegmentCache::save_to`]) to `file`
+    /// and fsyncs it.
+    fn write_snapshot(&self, file: std::fs::File) -> io::Result<SnapshotStats> {
+        let mut file = io::BufWriter::new(file);
         let mut sum = Fnv64::new();
         let mut put = |file: &mut io::BufWriter<std::fs::File>, bytes: &[u8]| -> io::Result<()> {
             sum.update(bytes);
@@ -781,7 +814,6 @@ impl SegmentCache {
         let trailer = sum.0.to_le_bytes();
         file.write_all(&trailer)?;
         file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        std::fs::rename(&tmp, path)?;
         Ok(stats)
     }
 
@@ -1399,6 +1431,39 @@ mod tests {
             warm.load_from(Path::new("/nonexistent/iqft.snap")),
             Err(SnapshotError::Io(_))
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_saves_leave_no_tmp_and_keep_the_previous_snapshot() {
+        let cache = small_cache(1 << 20, 4);
+        let img = image(7, 10, 6);
+        cache.insert(cache.key_for(&img), &labels_for(&img, 3));
+
+        // Renaming onto a directory fails after the `.tmp` was written.
+        let onto_dir = scratch("onto-dir");
+        std::fs::create_dir_all(&onto_dir).unwrap();
+        assert!(matches!(
+            cache.save_to(&onto_dir),
+            Err(SnapshotError::Io(_))
+        ));
+        assert!(
+            !snapshot_tmp_path(&onto_dir).exists(),
+            "a failed save removes its .tmp"
+        );
+        std::fs::remove_dir(&onto_dir).unwrap();
+
+        // A directory squatting on the `.tmp` name blocks the save; the
+        // snapshot already at `path` is untouched and still loads.
+        let path = scratch("tmp-blocked");
+        cache.save_to(&path).unwrap();
+        let squatter = snapshot_tmp_path(&path);
+        std::fs::create_dir_all(&squatter).unwrap();
+        assert!(matches!(cache.save_to(&path), Err(SnapshotError::Io(_))));
+        assert!(squatter.is_dir(), "a .tmp the save did not create is kept");
+        let warm = small_cache(1 << 20, 4);
+        assert_eq!(warm.load_from(&path).unwrap().entries, 1);
+        std::fs::remove_dir(&squatter).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

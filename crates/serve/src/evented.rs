@@ -1,4 +1,4 @@
-//! The evented serving core: a hand-rolled nonblocking readiness loop.
+//! The serving core: a hand-rolled nonblocking readiness loop.
 //!
 //! Layering (sans-io at the center, I/O at the edges):
 //!
@@ -26,15 +26,15 @@
 //! Work split: each connection's complete frames are processed strictly in
 //! arrival order.  `Ping`/`Stats`/`Shutdown` and all protocol errors are
 //! answered inline on the reactor (they are O(µs)); `Segment`/
-//! `SegmentCached`/`SegmentDelta` are dispatched to a worker pool of `max_inflight`
-//! threads that shares the same warm pipeline the threaded mode uses — at
-//! most one job per connection at a time, so per-connection execution is
-//! serial exactly like a thread-per-connection server (same cache-hit
-//! behaviour, same per-connection reply order), while connections execute
-//! concurrently.  Workers hand encoded reply frames back through a
-//! per-reactor completion queue and wake the reactor via a socketpair;
-//! across connections replies ship in *completion order*, which protocol v2
-//! explicitly permits (clients match replies by echoed id).
+//! `SegmentCached`/`SegmentDelta` are dispatched to a worker pool of
+//! `max_inflight` threads sharing the one warm pipeline — at most one job per
+//! connection at a time, so each connection's requests execute serially and
+//! are answered in the order they were sent (a later request on the same
+//! connection sees every cache entry an earlier one stored), while
+//! connections execute concurrently.  Workers hand encoded reply frames back
+//! through a per-reactor completion queue and wake the reactor via a
+//! socketpair; across connections replies ship in *completion order*, which
+//! protocol v2 explicitly permits (clients match replies by echoed id).
 //!
 //! Backpressure: a connection stops being polled for readability while it
 //! has [`MAX_PIPELINE_DEPTH`] frames queued or more than
@@ -51,8 +51,6 @@
 //! nothing about the stalled fd blocks: it merely sits unready in the poll
 //! set until its deadline fires.
 
-#![cfg(unix)]
-
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{self, Frame, FrameDecoder, FrameEncoder, Message, MAX_PIPELINE_DEPTH};
 use crate::server::{ConnStats, Shared, POLL_INTERVAL, SHUTDOWN_GRACE};
@@ -68,8 +66,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Fixed number of reactor threads.  Readiness dispatch is cheap; two
-/// threads keep accept latency low while one reactor is mid-sweep without
-/// approaching a thread-per-connection footprint.
+/// threads keep accept latency low while one reactor is mid-sweep, and the
+/// count does not grow with the number of connections.
 const REACTOR_THREADS: usize = 2;
 /// A connection with more unsent reply bytes than this stops being read
 /// until the peer drains some — bounding per-connection memory.
@@ -145,17 +143,16 @@ struct Conn {
     counted: u64,
     /// Complete frames decoded but not yet processed.  Frames on one
     /// connection are handled strictly in arrival order with at most one
-    /// dispatched to the worker pool at a time — the same per-connection
-    /// serial semantics (and therefore the same cache-hit behaviour and
-    /// reply order) as a thread-per-connection server.
+    /// dispatched to the worker pool at a time, so the connection's
+    /// requests execute serially and its replies keep request order.
     queue: VecDeque<Frame>,
     /// Whether a dispatched job's completion is still outstanding.
     inflight: bool,
     read_eof: bool,
     /// No more reads; flush + finish pending work, then close.
     closing: bool,
-    /// When the in-progress frame must be complete (reactor bookkeeping —
-    /// the satellite bugfix replacing per-thread socket timeouts).
+    /// When the in-progress frame must be complete (reactor bookkeeping,
+    /// not a socket timeout).
     frame_deadline: Option<Instant>,
     idle_since: Instant,
 }
@@ -267,8 +264,9 @@ impl Reactor {
             if shutting_down {
                 if let Some(listener) = self.listener.take() {
                     // Serve whatever was already queued in the accept backlog
-                    // at shutdown (same guarantee as the threaded acceptor),
-                    // then stop accepting for good.
+                    // at shutdown, so a client that connected just before
+                    // the flag flipped is answered rather than dropped, then
+                    // stop accepting for good.
                     self.accept_ready(&listener, now);
                     drop(listener);
                     self.accepting_done.store(true, Ordering::SeqCst);
@@ -389,9 +387,8 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Like the threaded acceptor, back off on any other error:
-                // a persistent one (EMFILE) would otherwise spin the
-                // level-triggered poll at 100% CPU.
+                // Back off on any other error: a persistent one (EMFILE)
+                // would otherwise spin the level-triggered poll at 100% CPU.
                 Err(_) => {
                     self.shared.stats.accept_error();
                     self.accept_paused_until = Some(now + POLL_INTERVAL);
@@ -533,9 +530,8 @@ impl Reactor {
         while offset < chunk.len() && !conn.closing {
             let (consumed, event) = conn.decoder.feed(&chunk[offset..]);
             offset += consumed;
-            // Fold newly-started frames into the request counters at the
-            // same point the threaded server does: the moment a full header
-            // has arrived, valid or not.
+            // Fold newly-started frames into the request counters the
+            // moment a full header has arrived, valid or not.
             while conn.counted < conn.decoder.frames_started() {
                 self.shared.stats.request();
                 conn.requests += 1;
@@ -576,10 +572,8 @@ impl Reactor {
 
     /// Processes this connection's queued frames strictly in arrival order.
     /// Light ops answer inline; a segment op dispatches to the worker pool
-    /// and blocks the queue until its completion returns — per-connection
-    /// execution is serial, exactly like the thread-per-connection core, so
-    /// the two modes share cache-hit behaviour and per-connection reply
-    /// order.
+    /// and blocks the queue until its completion returns, so per-connection
+    /// execution is serial and replies keep request order.
     fn pump(&self, conn: &mut Conn, idx: usize, gen: u64) {
         while !conn.closing && !conn.inflight {
             let Some(frame) = conn.queue.pop_front() else {
@@ -680,8 +674,9 @@ impl Reactor {
 }
 
 /// Executes one dispatched segment request against the shared pipeline and
-/// returns the encoded reply frame (counters updated before the frame can
-/// reach the wire, mirroring the threaded path).
+/// returns the encoded reply frame.  Counters are updated before the frame
+/// can reach the wire, so a client holding its reply never reads a stale
+/// Stats snapshot.
 fn execute_job(shared: &Shared, request_id: u64, message: Message, pixels: &AtomicU64) -> Vec<u8> {
     let started = Instant::now();
     let reply = match message {
@@ -765,7 +760,7 @@ fn worker_loop(
     }
 }
 
-/// Boots the evented core: reactor threads, the worker pool, and one
+/// Boots the serving core: reactor threads, the worker pool, and one
 /// coordinator thread (returned) that joins them all — so `Server::join`
 /// keeps its drain-then-stop contract unchanged.
 pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<JoinHandle<()>> {

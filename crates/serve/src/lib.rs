@@ -15,19 +15,17 @@
 //!   malformed frame can never allocate unbounded memory and never panics
 //!   the peer; a v1 frame gets a typed version error.  The incremental
 //!   sans-io core ([`FrameDecoder`] / [`FrameEncoder`]) does the same
-//!   parsing with no I/O inside, which is what both serve modes (and the
-//!   socket-free protocol test suite) are built on.
-//! * [`Server`] — one warm pipeline behind a choice of serving cores
-//!   ([`ServeMode`]): the classic thread-per-connection mode, or the
-//!   default *evented* mode — a nonblocking readiness loop over `poll(2)`
-//!   ([`poll`]) where a small fixed set of reactor threads owns every
-//!   connection and dispatches segment work to a bounded worker pool, so a
-//!   thousand-plus pipelined connections cost buffers, not threads.  Both
-//!   modes share an opt-in content-addressed result cache
-//!   ([`ServerConfig::cache`]) answering repeated `SegmentCached` requests
-//!   with a memcpy, per-connection and aggregate [`ServerStats`], per-frame
-//!   read deadlines ([`ServerConfig::frame_deadline`]) and graceful
-//!   drain-then-stop shutdown (in-flight requests are answered).
+//!   parsing with no I/O inside, which is what the server (and the
+//!   socket-free protocol test suite) is built on.
+//! * [`Server`] — one warm pipeline behind one serving core: a nonblocking
+//!   readiness loop over `poll(2)` ([`poll`]) where a small fixed set of
+//!   reactor threads owns every connection and dispatches segment work to
+//!   a bounded worker pool, so a thousand-plus pipelined connections cost
+//!   buffers, not threads.  It adds an opt-in content-addressed result
+//!   cache ([`ServerConfig::cache`]) answering repeated `SegmentCached`
+//!   requests with a memcpy, per-connection and aggregate [`ServerStats`],
+//!   per-frame read deadlines ([`ServerConfig::frame_deadline`]) and
+//!   graceful drain-then-stop shutdown (in-flight requests are answered).
 //! * [`Client`] — the synchronous request/response side, built from a
 //!   [`ClientConfig`] (endpoints, pipeline depth, deadlines, retry-on-`Busy`
 //!   backoff): `ping`, `segment`, `segment_cached`, `segment_pipelined` (up
@@ -47,6 +45,8 @@
 //! --images N --pipeline K --repeat-ratio R` drives concurrent (optionally
 //! repeated and pipelined) traffic with default-on byte-identity
 //! verification against a local [`seg_engine::SegmentEngine`] pass.
+//!
+//! The crate is unix-only: the server is built on `poll(2)` and socketpairs.
 //!
 //! # Example
 //!
@@ -70,11 +70,12 @@
 //! server.join();
 //! ```
 
+#[cfg(not(unix))]
+compile_error!("iqft-serve is unix-only: its server is built on poll(2) and socketpairs");
+
 pub mod client;
-#[cfg(unix)]
 mod evented;
 pub mod fleet;
-#[cfg(unix)]
 pub mod poll;
 pub mod protocol;
 pub mod server;
@@ -84,5 +85,5 @@ pub use client::{Client, ClientConfig, SegmentOutcome, ServeError};
 pub use fleet::{EndpointStats, FleetClient, HashRing};
 pub use iqft_pipeline::CacheConfig;
 pub use protocol::{Frame, FrameDecoder, FrameEncoder, Message, Op, ProtocolError};
-pub use server::{ServeMode, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use stats::{ServerStats, StatsSnapshot};

@@ -6,11 +6,9 @@
 //! Only what the evented server uses is wrapped: readable/writable/error
 //! readiness on a set of file descriptors with a millisecond timeout, plus a
 //! best-effort `RLIMIT_NOFILE` raise so thousand-connection sweeps do not
-//! trip the default soft descriptor limit.  Everything is `cfg(unix)`; on
-//! other platforms the evented serve mode falls back to thread-per-connection
-//! (see `ServerConfig::mode`).
-
-#![cfg(unix)]
+//! trip the default soft descriptor limit.  Like the rest of the crate this
+//! is unix-only; the descriptor-limit raise is linux-only, and other unix
+//! platforms keep their limit as is.
 
 use std::io;
 use std::os::unix::io::RawFd;

@@ -151,9 +151,6 @@ impl ServerStats {
 pub struct StatsSnapshot {
     /// The server's segmentation strategy (`SegmentPlan::to_spec` format).
     pub plan: String,
-    /// The serving core that produced this snapshot (`threads` | `evented`;
-    /// empty when talking to a server that predates serve modes).
-    pub serve_mode: String,
     /// Seconds since the server started.
     pub uptime_secs: f64,
     /// Connections accepted since boot.
@@ -267,7 +264,6 @@ impl StatsSnapshot {
             out.push('\n');
         };
         push("plan", self.plan.clone());
-        push("serve_mode", self.serve_mode.clone());
         push("uptime_secs", format!("{:.3}", self.uptime_secs));
         push("connections_total", self.connections_total.to_string());
         push("connections_open", self.connections_open.to_string());
@@ -337,7 +333,6 @@ impl StatsSnapshot {
                     snapshot.plan = value.to_string();
                     saw_plan = true;
                 }
-                "serve_mode" => snapshot.serve_mode = value.to_string(),
                 "uptime_secs" => snapshot.uptime_secs = value.parse().map_err(|_| bad("float"))?,
                 "connections_total" => {
                     snapshot.connections_total = value.parse().map_err(|_| bad("count"))?
@@ -432,7 +427,6 @@ mod tests {
     fn sample() -> StatsSnapshot {
         StatsSnapshot {
             plan: "classifier=table;tile=48x48;backend=threads:4".to_string(),
-            serve_mode: "evented".to_string(),
             uptime_secs: 12.5,
             connections_total: 9,
             connections_open: 4,
@@ -485,8 +479,12 @@ mod tests {
         let mut text = sample().to_text();
         text.push_str("future_field=42\n");
         text.push_str("future_spec=a=b;c=d\n");
+        // A key this version no longer reads (older daemons sent it) lands
+        // in `extra` like any unknown one.
+        text.push_str("serve_mode=threads\n");
         let parsed = StatsSnapshot::from_text(&text).unwrap();
         assert_eq!(parsed.extra.get("future_field").unwrap(), "42");
+        assert_eq!(parsed.extra.get("serve_mode").unwrap(), "threads");
         assert_eq!(
             parsed.extra.get("future_spec").unwrap(),
             "a=b;c=d",

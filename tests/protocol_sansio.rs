@@ -1,6 +1,6 @@
 //! Socket-free property and fuzz suite for the sans-io protocol core.
 //!
-//! The event-driven serving core rests on one claim: `FrameDecoder` fed
+//! The serving core rests on one claim: `FrameDecoder` fed
 //! byte chunks of *any* size is observably identical to the blocking stream
 //! path (`parse_header` + `read_exact` + `decode_body`) — same frames, same
 //! typed errors at the same points, same `ServerStats` deltas.  This suite
@@ -93,8 +93,8 @@ struct StreamOutcome {
 
 const EOF_KEY: &str = "Io(UnexpectedEof)";
 
-/// The blocking stream path, exactly as the threaded server runs it: read
-/// the 20 header bytes (counting the request the moment they arrive), parse,
+/// The blocking stream path, the reference the decoder must match: read the
+/// 20 header bytes (counting the request the moment they arrive), parse,
 /// read the declared payload, decode the body.  Stops at the first error,
 /// as the server does.
 fn run_stream_path(bytes: &[u8]) -> StreamOutcome {
@@ -284,8 +284,7 @@ fn all_plan_specs() -> Vec<String> {
 }
 
 /// Every message shape the protocol defines: all eleven ops, both values of
-/// both flag words, and a Stats reply for every classifier-spec / serve-mode
-/// combination.
+/// both flag words, and a Stats reply for every classifier spec.
 fn full_message_corpus(rng: &mut ChaCha8Rng) -> Vec<Message> {
     let mut corpus = vec![
         Message::Ping,
@@ -322,18 +321,15 @@ fn full_message_corpus(rng: &mut ChaCha8Rng) -> Vec<Message> {
         });
     }
     for spec in all_plan_specs() {
-        for serve_mode in ["threads", "evented"] {
-            let snapshot = StatsSnapshot {
-                plan: spec.clone(),
-                serve_mode: serve_mode.to_string(),
-                requests_total: rng.gen::<u8>() as usize,
-                pixels_total: rng.gen::<u8>() as u64,
-                ..StatsSnapshot::default()
-            };
-            corpus.push(Message::StatsReply {
-                text: snapshot.to_text(),
-            });
-        }
+        let snapshot = StatsSnapshot {
+            plan: spec,
+            requests_total: rng.gen::<u8>() as usize,
+            pixels_total: rng.gen::<u8>() as u64,
+            ..StatsSnapshot::default()
+        };
+        corpus.push(Message::StatsReply {
+            text: snapshot.to_text(),
+        });
     }
     corpus
 }
